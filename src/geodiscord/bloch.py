@@ -172,19 +172,42 @@ def state_from_coefficients(
 
 @dataclass(frozen=True)
 class BlochDecomposition:
-    """Coherent vectors and correlation tensors of an N-qubit state.
+    """Coherent vectors and correlation tensors of an N-qubit state, as a
+    view of its coefficient tensor C.
 
-    ``s`` maps each party k to its coherent 3-vector; ``t`` maps each party
-    subset (sorted tuple, size >= 2) to the tensor of Pauli expectations with
-    one axis per party in subset order.
+    Only C is stored.  ``s`` maps each party k to its coherent 3-vector;
+    ``t`` maps each party subset (sorted tuple, size >= 2) to the tensor of
+    Pauli expectations with one axis per party in subset order.  Both are
+    built from C on every access: each component is 2^(N/2) times the slice
+    of C with indices 1..3 on its parties and 0 on every other party.
     """
 
-    n_qubits: int
-    s: dict
-    t: dict
+    coefficients: CoefficientTensor
 
-    def subsets_containing(self, part: int):
-        return [subset for subset in self.t if part in subset]
+    def __post_init__(self):
+        if any(d != 2 for d in self.coefficients.party_dims):
+            raise ValueError(
+                "operation requires qubit parties, got dimensions "
+                f"{self.coefficients.party_dims}"
+            )
+
+    @property
+    def n_qubits(self) -> int:
+        return self.coefficients.n_parties
+
+    def _component(self, parties) -> np.ndarray:
+        n = self.n_qubits
+        sl = tuple(slice(1, 4) if m + 1 in parties else 0 for m in range(n))
+        return 2.0 ** (n / 2.0) * self.coefficients.tensor[sl]
+
+    @property
+    def s(self) -> dict:
+        return {k: self._component((k,)) for k in range(1, self.n_qubits + 1)}
+
+    @property
+    def t(self) -> dict:
+        n = self.n_qubits
+        return {subset: self._component(subset) for subset in qubit_subsets(n)}
 
 
 def qubit_subsets(n_qubits: int, min_size: int = 2):
@@ -193,59 +216,29 @@ def qubit_subsets(n_qubits: int, min_size: int = 2):
         yield from itertools.combinations(range(1, n_qubits + 1), size)
 
 
-def _require_qubits(party_dims):
-    if any(d != 2 for d in party_dims):
-        raise ValueError(
-            f"operation requires qubit parties, got dimensions {tuple(party_dims)}"
-        )
-
-
 def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
     """Coherent vectors s(k) and correlation tensors T(S) of a qubit state."""
-    _require_qubits(rho.party_dims)
-    return decomposition_from_coefficients(coefficient_tensor(rho))
+    return BlochDecomposition(coefficient_tensor(rho))
 
 
 def decomposition_from_coefficients(coeffs: CoefficientTensor) -> BlochDecomposition:
-    """Relabel a qubit coefficient tensor into Bloch components."""
-    _require_qubits(coeffs.party_dims)
-    n = coeffs.n_parties
-    scale = 2.0 ** (n / 2.0)
-    c = coeffs.tensor
-    s = {}
-    for k in range(1, n + 1):
-        sl = tuple(slice(1, 4) if m == k - 1 else 0 for m in range(n))
-        s[k] = scale * c[sl]
-    t = {}
-    for subset in qubit_subsets(n):
-        sl = tuple(slice(1, 4) if (m + 1) in subset else 0 for m in range(n))
-        t[subset] = scale * c[sl]
-    return BlochDecomposition(n, s, t)
+    """Bloch view of a qubit coefficient tensor."""
+    return BlochDecomposition(coeffs)
 
 
 def coefficients_from_decomposition(dec: BlochDecomposition) -> CoefficientTensor:
     """Inverse of :func:`decomposition_from_coefficients`."""
-    n = dec.n_qubits
-    scale = 2.0 ** (-n / 2.0)
-    c = np.zeros((4,) * n)
-    c[(0,) * n] = scale
-    for k, vec in dec.s.items():
-        sl = tuple(slice(1, 4) if m == k - 1 else 0 for m in range(n))
-        c[sl] = scale * np.asarray(vec, dtype=float)
-    for subset, tensor in dec.t.items():
-        sl = tuple(slice(1, 4) if (m + 1) in subset else 0 for m in range(n))
-        c[sl] = scale * np.asarray(tensor, dtype=float)
-    return CoefficientTensor((2,) * n, c)
+    return dec.coefficients
 
 
 def reconstruct_state(dec: BlochDecomposition) -> DensityMatrix:
     """State matrix of a Bloch decomposition.
 
-    Hermiticity and unit trace hold by construction; positivity is not
-    checked (run ``.validate()`` on the result when a physical state is
-    required).
+    Hermiticity holds by construction, and unit trace whenever C comes from
+    a state or a Pauli table; positivity is not checked (run ``.validate()``
+    on the result when a physical state is required).
     """
-    return state_from_coefficients(coefficients_from_decomposition(dec))
+    return state_from_coefficients(dec.coefficients)
 
 
 def norm_sq_from_decomposition(dec: BlochDecomposition) -> float:

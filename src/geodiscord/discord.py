@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    BlochDecomposition,
-    CoefficientTensor,
-    bloch_decompose,
-    hermitian_basis,
-    norm_sq_from_decomposition,
-)
+from .bloch import BlochDecomposition, CoefficientTensor, bloch_decompose, hermitian_basis
 from .tensor_ops import DensityMatrix, Sym3, frobenius_norm_sq, n_mode_product, sym3_top_eigen
 
 __all__ = [
@@ -99,6 +93,30 @@ def _clamp(value: float) -> float:
     return 0.0 if -1e-12 < value < 0.0 else value
 
 
+def _gram(tensor: np.ndarray, part: int) -> np.ndarray:
+    """2^N M M^t for M the rows 1..3 of the mode-``part`` unfolding of C.
+
+    The columns of M run over every index combination of the other parties,
+    so M M^t collects s(k) s(k)^t and U^t U for each T(S) with k in S.
+    """
+    n = tensor.ndim
+    if not 1 <= part <= n:
+        raise ValueError(f"party {part} out of range 1..{n}")
+    m = np.moveaxis(tensor, part - 1, 0)[1:].reshape(3, -1)
+    return 2.0**n * (m @ m.T)
+
+
+def _closed_form(tensor: np.ndarray, part: int, prefer_axes=(0, 1, 2)):
+    """(D_k, G, eta_max, e_max) of a qubit coefficient tensor.
+
+    tr G is the squared norm of every correlation involving ``part``, so
+    D_k = (tr G - eta_max) / 2^N.
+    """
+    g = _gram(tensor, part)
+    eta_max, e_max = sym3_top_eigen(g, prefer_axes=prefer_axes)
+    return _clamp((float(np.trace(g)) - eta_max) / 2.0**tensor.ndim), g, eta_max, e_max
+
+
 def correlation_gram(dec: BlochDecomposition, part: int) -> Sym3:
     """3x3 Gram matrix of every correlation tensor involving ``part``.
 
@@ -106,40 +124,20 @@ def correlation_gram(dec: BlochDecomposition, part: int) -> Sym3:
     flattened over all other parties (party axis last); the coherent vector
     contributes its outer product.
     """
-    if not 1 <= part <= dec.n_qubits:
-        raise ValueError(f"party {part} out of range 1..{dec.n_qubits}")
-    s = np.asarray(dec.s[part], dtype=float)
-    g = np.outer(s, s)
-    for subset in dec.subsets_containing(part):
-        tensor = dec.t[subset]
-        axis = subset.index(part)
-        u = np.moveaxis(tensor, axis, -1).reshape(-1, 3)
-        g = g + u.T @ u
-    return Sym3.from_matrix(g)
-
-
-def _sum_sq_involving(dec: BlochDecomposition, part: int) -> float:
-    total = float(np.dot(dec.s[part], dec.s[part]))
-    for subset in dec.subsets_containing(part):
-        total += frobenius_norm_sq(dec.t[subset])
-    return total
+    return Sym3.from_matrix(_gram(dec.coefficients.tensor, part))
 
 
 def discord_closed_form(dec: BlochDecomposition, part: int) -> DiscordReport:
     """Exact discord of a qubit party, with all optimality witnesses."""
-    g = correlation_gram(dec, part)
-    eta_max, e_max = sym3_top_eigen(g)
-    value = _clamp(
-        (_sum_sq_involving(dec, part) - eta_max) / 2.0**dec.n_qubits
-    )
+    value, g, eta_max, e_max = _closed_form(dec.coefficients.tensor, part)
     return DiscordReport(
         part=part,
         value=value,
-        g=g,
+        g=Sym3.from_matrix(g),
         eta_max=eta_max,
         e_max=e_max,
         a_tilde=isometry_from_axis(e_max),
-        norm_c_sq=norm_sq_from_decomposition(dec),
+        norm_c_sq=dec.coefficients.norm_sq(),
     )
 
 
@@ -263,8 +261,9 @@ def discord_upper_bound(
     coordinate ascent, one golden-section line search per angle per sweep,
     at least 3 sweeps and stopping once a sweep gains less than 1e-9.
 
-    The result is an upper bound on the true discord (best found, not
-    certified); for qubit parties it matches the closed form.
+    The result is the best value found, an upper bound on the true discord
+    and not a certificate.  With few restarts it can stop above the true
+    value, even for qubit parties where the closed form gives it exactly.
     """
     if not 1 <= part <= coeffs.n_parties:
         raise ValueError(f"party {part} out of range 1..{coeffs.n_parties}")

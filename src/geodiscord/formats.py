@@ -10,14 +10,14 @@ is absent is treated as not measured, never as zero.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, qubit_subsets, reconstruct_state
+from .bloch import BlochDecomposition, CoefficientTensor, reconstruct_state
 from .tensor_ops import DensityMatrix, StateValidationError
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "pauli_table_from_decomposition",
     "ingest_pauli_table",
 ]
-
-_AXES = "XYZ"
-
 
 class ParseError(ValueError):
     """A file could not be parsed into the expected structure."""
@@ -86,6 +83,10 @@ class PauliTable:
     def __post_init__(self):
         for label, value in self.values.items():
             _check_label(label, self.n_qubits)
+            if not math.isfinite(value):
+                raise StateValidationError(
+                    "pauli-finite", f"expectation for {label} is not finite: {value}"
+                )
             if abs(value) > 1.0 + 1e-9:
                 raise StateValidationError(
                     "pauli-range",
@@ -142,23 +143,16 @@ def save_pauli_table(table: PauliTable, path) -> None:
             writer.writerow([label, f"{table.values[label]:.17g}"])
 
 
-def _label_for(n_qubits, parties, axes):
-    chars = ["I"] * n_qubits
-    for party, axis in zip(parties, axes):
-        chars[party - 1] = _AXES[axis]
-    return "".join(chars)
+def _label(index) -> str:
+    return "".join("IXYZ"[i] for i in index)
 
 
 def pauli_table_from_decomposition(dec: BlochDecomposition) -> PauliTable:
     """Full table of every Pauli expectation encoded by a decomposition."""
     n = dec.n_qubits
-    values = {"I" * n: 1.0}
-    for k, vec in dec.s.items():
-        for axis in range(3):
-            values[_label_for(n, (k,), (axis,))] = float(vec[axis])
-    for subset, tensor in dec.t.items():
-        for axes in itertools.product(range(3), repeat=len(subset)):
-            values[_label_for(n, subset, axes)] = float(tensor[axes])
+    c = 2.0 ** (n / 2.0) * dec.coefficients.tensor
+    values = {_label(index): float(c[index]) for index in np.ndindex(c.shape)}
+    values["I" * n] = 1.0
     return PauliTable(n, values)
 
 
@@ -171,32 +165,20 @@ def ingest_pauli_table(table: PauliTable, strict: bool = False) -> BlochDecompos
     with a warning and the discord formulas operate on the tensors as given.
     """
     n = table.n_qubits
+    values = {**table.values, "I" * n: 1.0}
+    c = np.zeros((4,) * n)
     missing = []
-    s = {}
-    for k in range(1, n + 1):
-        vec = np.zeros(3)
-        for axis in range(3):
-            label = _label_for(n, (k,), (axis,))
-            if label in table.values:
-                vec[axis] = table.values[label]
-            else:
-                missing.append(label)
-        s[k] = vec
-    t = {}
-    for subset in qubit_subsets(n):
-        tensor = np.zeros((3,) * len(subset))
-        for axes in itertools.product(range(3), repeat=len(subset)):
-            label = _label_for(n, subset, axes)
-            if label in table.values:
-                tensor[axes] = table.values[label]
-            else:
-                missing.append(label)
-        t[subset] = tensor
+    for index in np.ndindex(c.shape):
+        label = _label(index)
+        if label in values:
+            c[index] = values[label]
+        else:
+            missing.append(label)
     if missing:
         raise StateValidationError(
             "missing-labels", f"table is missing Pauli labels: {sorted(missing)}"
         )
-    dec = BlochDecomposition(n, s, t)
+    dec = BlochDecomposition(CoefficientTensor((2,) * n, 2.0 ** (-n / 2.0) * c))
     rho = reconstruct_state(dec)
     try:
         rho.validate()

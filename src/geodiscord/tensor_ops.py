@@ -34,8 +34,9 @@ POSITIVITY_ATOL = 1e-10
 class StateValidationError(ValueError):
     """A matrix failed one of the density-matrix checks.
 
-    ``check`` names the failing requirement ("shape", "hermiticity",
-    "trace", "positivity", ...) so callers can report it precisely.
+    ``check`` names the failing requirement ("shape", "finite",
+    "hermiticity", "trace", "positivity", ...) so callers can report it
+    precisely.
     """
 
     def __init__(self, check: str, message: str):
@@ -88,8 +89,17 @@ class DensityMatrix:
         return all(d == 2 for d in self.party_dims)
 
     def validate(self) -> "DensityMatrix":
-        """Check Hermiticity, unit trace and positivity; raise on failure."""
+        """Check finite entries, Hermiticity, unit trace and positivity.
+
+        Raises StateValidationError naming the first check that fails.
+        """
         m = self.matrix
+        bad = np.argwhere(~np.isfinite(m))
+        if bad.size:
+            i, j = bad[0]
+            raise StateValidationError(
+                "finite", f"matrix entry ({i}, {j}) is not finite: {m[i, j]}"
+            )
         delta = np.abs(m - m.conj().T)
         if delta.max() > HERMITICITY_ATOL:
             i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
@@ -174,49 +184,21 @@ class Sym3:
         )
 
 
-def _jacobi_eigen3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric 3x3 matrix.
-
-    Iterates until the off-diagonal norm drops below 1e-14 (or 60 sweeps).
-    Returns (eigenvalues, eigenvector columns), unsorted.
-    """
-    a = np.array(m, dtype=float)
-    v = np.eye(3)
-    for _ in range(60):
-        off = math.sqrt(2.0 * (a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2))
-        if off <= 1e-14:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if abs(apq) < 1e-300:
-                continue
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            a = rot.T @ a @ rot
-            a[p, q] = a[q, p] = 0.0
-            v = v @ rot
-    return np.diag(a).copy(), v
-
-
 def sym3_top_eigen(g, *, prefer_axes=(0, 1, 2)) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of ``g`` with a deterministic unit eigenvector.
 
-    When the top eigenvalue is degenerate (within 1e-12) the returned vector
-    is the normalized projection onto the top eigenspace of the first
-    coordinate axis in ``prefer_axes`` with a nonzero projection; its first
-    nonzero component is made positive.  The default preference (x, y, z)
-    makes the fully degenerate case return (1, 0, 0).
+    Eigenvalues within 1e-12 times the largest eigenvalue magnitude of the
+    top one count as tied, so the choice does not depend on the scale of
+    ``g``.  The returned vector is the normalized projection onto the top
+    eigenspace of the first coordinate axis in ``prefer_axes`` with a
+    nonzero projection; its first nonzero component is made positive.  The
+    default preference (x, y, z) makes the fully degenerate case return
+    (1, 0, 0).
     """
     m = g.as_matrix() if isinstance(g, Sym3) else np.asarray(g, dtype=float)
-    evals, evecs = _jacobi_eigen3(m)
-    eta = float(evals.max())
-    cols = evecs[:, evals >= eta - 1e-12]
+    evals, evecs = np.linalg.eigh(m)
+    eta = float(evals[-1])
+    cols = evecs[:, evals >= eta - 1e-12 * np.abs(evals).max()]
     vec = None
     for axis in prefer_axes:
         proj = cols @ cols[axis, :]

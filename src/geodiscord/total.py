@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    BlochDecomposition,
-    CoefficientTensor,
-    bloch_decompose,
-    coefficients_from_decomposition,
-    decomposition_from_coefficients,
-)
-from .discord import Isometry, correlation_gram, isometry_from_axis
+from .bloch import BlochDecomposition, CoefficientTensor, bloch_decompose
+from .discord import Isometry, _clamp, _closed_form, isometry_from_axis
 from .tensor_ops import DensityMatrix, frobenius_norm_sq, n_mode_product, sym3_top_eigen
 
 __all__ = [
@@ -57,10 +51,6 @@ class TotalCorrelationReport:
     steps: tuple
 
 
-def _clamp(value: float) -> float:
-    return 0.0 if -1e-12 < value < 0.0 else value
-
-
 def total_quantum_correlations(
     dec: BlochDecomposition, order=None
 ) -> TotalCorrelationReport:
@@ -78,22 +68,14 @@ def total_quantum_correlations(
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"{order} is not a permutation of parties 1..{n}")
     dims = (2,) * n
-    cur = coefficients_from_decomposition(dec).tensor
+    cur = dec.coefficients.tensor
     steps = []
-    q_value = 0.0
     for part in order:
-        dec_cur = decomposition_from_coefficients(CoefficientTensor(dims, cur))
-        g = correlation_gram(dec_cur, part)
-        _, axis = sym3_top_eigen(g, prefer_axes=CHAIN_AXIS_PREFERENCE)
+        value, _, _, axis = _closed_form(cur, part, CHAIN_AXIS_PREFERENCE)
         iso = isometry_from_axis(axis)
-        kept = n_mode_product(cur, iso.matrix, part)
-        step_value = _clamp(frobenius_norm_sq(cur) - frobenius_norm_sq(kept))
         cur = n_mode_product(cur, iso.matrix.T @ iso.matrix, part)
-        steps.append(
-            ChainStep(part, step_value, iso, CoefficientTensor(dims, cur))
-        )
-        q_value += step_value
-    return TotalCorrelationReport(q_value, order, tuple(steps))
+        steps.append(ChainStep(part, value, iso, CoefficientTensor(dims, cur)))
+    return TotalCorrelationReport(sum(step.value for step in steps), order, tuple(steps))
 
 
 def two_qubit_total_correlations(rho: DensityMatrix) -> float:

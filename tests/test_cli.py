@@ -206,6 +206,17 @@ class TestExitCodes:
         assert code == 2
         assert "trace" in err
 
+    def test_non_finite_state_is_validation_error(self, tmp_path, capsys):
+        state = tmp_path / "mixed.json"
+        run(capsys, "gen", "--name", "max-mixed(2,2)", "--out", str(state))
+        payload = json.loads(state.read_text(encoding="utf-8"))
+        payload["matrix"][1][2][0] = float("nan")
+        state.write_text(json.dumps(payload), encoding="utf-8")
+        for argv in (["discord", "--part", "1"], ["total"]):
+            code, _, err = run(capsys, *argv, "--state", str(state))
+            assert code == 2
+            assert "finite" in err
+
     def test_malformed_state_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("[1, 2, 3]", encoding="utf-8")

@@ -47,6 +47,24 @@ class TestCorrelationGram:
         with pytest.raises(ValueError):
             correlation_gram(bloch_decompose(bell()), 3)
 
+    def test_matches_subset_sum_on_asymmetric_states(self):
+        # the paper's definition: s s^t plus U^t U for every T(S) with k in S
+        for n in range(2, 6):
+            dec = bloch_decompose(random_density((2,) * n, seed=40 + n))
+            s, t = dec.s, dec.t
+            for k in range(1, n + 1):
+                g = np.outer(s[k], s[k])
+                sum_sq = float(s[k] @ s[k])
+                for subset, tensor in t.items():
+                    if k in subset:
+                        u = np.moveaxis(tensor, subset.index(k), -1).reshape(-1, 3)
+                        g += u.T @ u
+                        sum_sq += float((tensor**2).sum())
+                assert_allclose(correlation_gram(dec, k).as_matrix(), g, atol=1e-12)
+                eta = np.linalg.eigvalsh(g)[-1]
+                value = discord_closed_form(dec, k).value
+                assert abs(value - (sum_sq - eta) / 2.0**n) < 1e-12
+
 
 class TestClosedForm:
     def test_ghz_value_any_party(self):

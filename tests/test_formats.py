@@ -61,6 +61,17 @@ class TestStateFiles:
             load_state(path)
         assert err.value.check == "hermiticity"
 
+    def test_non_finite_entry_names_check(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"dims": [2], "matrix": [[[0.5, 0.0], [0.0, 0.0]], '
+            "[[0.0, 0.0], [NaN, 0.0]]]}",
+            encoding="utf-8",
+        )
+        with pytest.raises(StateValidationError) as err:
+            load_state(path)
+        assert err.value.check == "finite"
+
     def test_wrong_trace_names_check_and_value(self, tmp_path):
         path = tmp_path / "tr.json"
         path.write_text(
@@ -112,6 +123,12 @@ class TestPauliTableFiles:
         with pytest.raises(StateValidationError) as err:
             PauliTable(2, {"XX": 1.5})
         assert err.value.check == "pauli-range"
+
+    def test_non_finite_value(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(StateValidationError) as err:
+                PauliTable(2, {"XX": value})
+            assert err.value.check == "pauli-finite"
 
     def test_identity_label_must_be_one(self):
         with pytest.raises(StateValidationError) as err:

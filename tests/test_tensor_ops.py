@@ -114,6 +114,15 @@ class TestSym3TopEigen:
         assert abs(eta - 1.0) < 1e-12
         assert_allclose(e, np.array([1.0, 1.0, 0.0]) / np.sqrt(2), atol=1e-10)
 
+    def test_tie_tolerance_is_relative_to_scale(self):
+        g = np.diag([0.5e-13, 1e-13, 0.0])
+        eta, e = sym3_top_eigen(g)
+        assert abs(eta - 1e-13) < 1e-25
+        assert_allclose(e, [0.0, 1.0, 0.0], atol=1e-12)
+        for j in range(-20, 21):
+            _, e_scaled = sym3_top_eigen(g * 10.0**j)
+            assert_allclose(e_scaled, e, atol=1e-12)
+
     def test_eigen_equation_and_rayleigh_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
