@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochDecomposition, CoefficientTensor, bloch_decompose, hermitian_basis
-from .tensor_ops import DensityMatrix, Sym3, frobenius_norm_sq, n_mode_product, sym3_top_eigen
+from .tensor_ops import DensityMatrix, Sym3, frobenius_norm_sq, sym3_top_eigen
 
 __all__ = [
     "Isometry",
@@ -93,17 +93,24 @@ def _clamp(value: float) -> float:
     return 0.0 if -1e-12 < value < 0.0 else value
 
 
-def _gram(tensor: np.ndarray, part: int) -> np.ndarray:
-    """2^N M M^t for M the rows 1..3 of the mode-``part`` unfolding of C.
+def _unfolding(tensor: np.ndarray, part: int) -> np.ndarray:
+    """Mode-``part`` unfolding of C: one row per basis index of the party.
 
-    The columns of M run over every index combination of the other parties,
-    so M M^t collects s(k) s(k)^t and U^t U for each T(S) with k in S.
+    The columns run over every index combination of the other parties.
     """
     n = tensor.ndim
     if not 1 <= part <= n:
         raise ValueError(f"party {part} out of range 1..{n}")
-    m = np.moveaxis(tensor, part - 1, 0)[1:].reshape(3, -1)
-    return 2.0**n * (m @ m.T)
+    return np.moveaxis(tensor, part - 1, 0).reshape(tensor.shape[part - 1], -1)
+
+
+def _gram(tensor: np.ndarray, part: int) -> np.ndarray:
+    """2^N M M^t for M the rows 1..3 of the mode-``part`` unfolding of C.
+
+    M M^t collects s(k) s(k)^t and U^t U for each T(S) with k in S.
+    """
+    m = _unfolding(tensor, part)[1:]
+    return 2.0**tensor.ndim * (m @ m.T)
 
 
 def _closed_form(tensor: np.ndarray, part: int, prefer_axes=(0, 1, 2)):
@@ -167,15 +174,13 @@ def discord_from_isometry(
     optimal one.
     """
     validate_isometry(iso)
-    if not 1 <= part <= coeffs.n_parties:
-        raise ValueError(f"party {part} out of range 1..{coeffs.n_parties}")
-    if iso.dim**2 != coeffs.tensor.shape[part - 1]:
+    m = _unfolding(coeffs.tensor, part)
+    if iso.dim**2 != m.shape[0]:
         raise ValueError(
             f"isometry dimension {iso.dim} does not match mode {part} size "
-            f"{coeffs.tensor.shape[part - 1]}"
+            f"{m.shape[0]}"
         )
-    kept = n_mode_product(coeffs.tensor, iso.matrix, part)
-    return _clamp(coeffs.norm_sq() - frobenius_norm_sq(kept))
+    return _clamp(coeffs.norm_sq() - frobenius_norm_sq(iso.matrix @ m))
 
 
 def discord_two_qubit(rho: DensityMatrix, part: int) -> float:
@@ -201,50 +206,11 @@ def discord_two_qubit(rho: DensityMatrix, part: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _two_level_rotation(dim, p, q, theta, phi):
-    u = np.eye(dim, dtype=complex)
-    c, s = math.cos(theta), math.sin(theta)
-    u[p, p] = c
-    u[q, q] = c
-    u[p, q] = -np.exp(1j * phi) * s
-    u[q, p] = np.exp(-1j * phi) * s
-    return u
-
-
-def _unitary_from_angles(dim, angles):
-    u = np.eye(dim, dtype=complex)
-    idx = 0
-    for p in range(dim):
-        for q in range(p + 1, dim):
-            u = u @ _two_level_rotation(dim, p, q, angles[idx], angles[idx + 1])
-            idx += 2
-    return u
-
-
 def _isometry_rows(unitary, basis_elements):
     # row l: <l| X_i |l> with |l> the l-th column of the unitary
     return np.einsum(
         "cl,icd,dl->li", unitary.conj(), basis_elements, unitary
     ).real
-
-
-def _golden_max(fun, lo, hi, tol=1e-7):
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = fun(x1)
-    x = (a + b) / 2.0
-    return x, fun(x)
 
 
 def discord_upper_bound(
@@ -255,54 +221,61 @@ def discord_upper_bound(
 ) -> tuple[float, Isometry]:
     """Best-found discord of ``part`` for a party of any dimension.
 
-    Maximizes ||C x_part A||^2 over measurement isometries induced by
-    orthonormal bases of the party, parameterized as a product of two-level
-    rotations with phases applied to the computational basis.  Multi-start
-    coordinate ascent, one golden-section line search per angle per sweep,
-    at least 3 sweeps and stopping once a sweep gains less than 1e-9.
+    With M the mode-``part`` unfolding of C and G = M M^t, measuring in the
+    basis of the columns u_l of a unitary U keeps tr(A G A^t) of
+    ||C||^2 = tr G, where row l of A expands the projector on u_l.  Each
+    restart starts from the Q factor of a complex Gaussian matrix seeded by
+    ``[seed, restart]`` and climbs by Riemannian gradient ascent on U(d)
+    (Abrudan, Eriksson and Koivunen, IEEE Trans. Signal Process. 56, 2008):
+    with Z the columns H_l u_l, H_l = sum_i (A G)[l, i] X_i, it steps
+    U <- exp(t Gamma) U along Gamma = Z U^+ - U Z^+, doubling or halving t
+    by the Armijo rule, until a step gains less than 1e-15 ||C||^2 or after
+    500 steps.
 
     The result is the best value found, an upper bound on the true discord
-    and not a certificate.  With few restarts it can stop above the true
-    value, even for qubit parties where the closed form gives it exactly.
+    and not a certificate: for parties of dimension 3 or more the ascent can
+    stop at a local maximum.  For a qubit party the objective has no local
+    maximum but the global one, so one restart reaches the closed form.
     """
-    if not 1 <= part <= coeffs.n_parties:
-        raise ValueError(f"party {part} out of range 1..{coeffs.n_parties}")
-    dim = math.isqrt(coeffs.tensor.shape[part - 1])
-    basis = hermitian_basis(dim)
-    n_angles = dim * (dim - 1)
-    norm_c = coeffs.norm_sq()
+    m = _unfolding(coeffs.tensor, part)
+    g = m @ m.T
+    norm_c = float(np.trace(g))
+    tol = 1e-15 * norm_c
+    dim = math.isqrt(m.shape[0])
+    basis = hermitian_basis(dim).elements
 
-    def kept_norm(angles):
-        u = _unitary_from_angles(dim, angles)
-        rows = _isometry_rows(u, basis.elements)
-        return frobenius_norm_sq(n_mode_product(coeffs.tensor, rows, part)), rows
+    def kept(u):
+        rows = _isometry_rows(u, basis)
+        return float(np.einsum("li,ij,lj->", rows, g, rows)), rows, u
 
-    best_val = -np.inf
-    best_rows = None
-    coarse = np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False)
+    best = (-np.inf, None)
     for restart in range(max(1, restarts)):
-        rng = np.random.default_rng([seed, restart])
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=n_angles)
-        value = kept_norm(angles)[0]
-        for sweep in range(64):
-            gained = value
-            for i in range(n_angles):
-
-                def line(x, i=i):
-                    probe = angles.copy()
-                    probe[i] = x
-                    return kept_norm(probe)[0]
-
-                scan = [line(x) for x in coarse]
-                center = coarse[int(np.argmax(scan))]
-                half = math.pi / len(coarse)
-                x, fx = _golden_max(line, center - half, center + half)
-                if fx > value:
-                    angles[i] = x
-                    value = fx
-            if sweep >= 2 and value - gained < 1e-9:
+        gauss = np.random.default_rng([seed, restart]).standard_normal((2, dim, dim))
+        value, rows, u = kept(np.linalg.qr(gauss[0] + 1j * gauss[1])[0])
+        t = 1.0 / norm_c
+        for _ in range(500):
+            z = np.einsum("lcd,dl->cl", np.tensordot(rows @ g, basis, axes=1), u)
+            gamma = z @ u.conj().T - u @ z.conj().T
+            # the objective rises at rate 2 slope along gamma and Armijo asks
+            # for half that; no rotation gains much more than ||gamma||
+            slope = np.vdot(gamma, gamma).real
+            if math.sqrt(slope) < tol:
                 break
-        if value > best_val:
-            best_val = value
-            best_rows = kept_norm(angles)[1]
-    return _clamp(norm_c - best_val), Isometry(dim, best_rows)
+            w, v = np.linalg.eigh(1j * gamma)
+
+            def move(step):
+                return kept(v @ (np.exp(-1j * step * w)[:, None] * v.conj().T) @ u)
+
+            trial = move(t)
+            if trial[0] - value >= t * slope:
+                while (longer := move(2 * t))[0] - value >= 2 * t * slope:
+                    t, trial = 2 * t, longer
+            else:
+                while trial[0] - value < t * slope and t * slope > tol:
+                    t /= 2
+                    trial = move(t)
+            if trial[0] - value < tol:
+                break
+            value, rows, u = trial
+        best = max(best, (value, rows), key=lambda pair: pair[0])
+    return _clamp(norm_c - best[0]), Isometry(dim, best[1])

@@ -58,7 +58,7 @@ def load_state(path) -> DensityMatrix:
         text = handle.read()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "dims" not in payload or "matrix" not in payload:
         raise ParseError(f"{path}: expected an object with 'dims' and 'matrix'")
@@ -112,8 +112,8 @@ def load_pauli_table(path) -> PauliTable:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ParseError(f"{path}: empty table")
+    if len(rows) < 2:
+        raise ParseError(f"{path}: empty table, need a 'label,value' header and data")
     header = [cell.strip().lower() for cell in rows[0]]
     if header[:2] != ["label", "value"]:
         raise ParseError(f"{path}: first row must be the header 'label,value'")

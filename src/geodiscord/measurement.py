@@ -99,6 +99,8 @@ def coefficients_after_measurement(
     corresponding projective measurement directly.
     """
     validate_isometry(iso)
+    if not 1 <= part <= coeffs.n_parties:
+        raise ValueError(f"party {part} out of range 1..{coeffs.n_parties}")
     if iso.dim**2 != coeffs.tensor.shape[part - 1]:
         raise ValueError(
             f"isometry dimension {iso.dim} does not match mode {part} size "

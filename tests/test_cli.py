@@ -187,6 +187,13 @@ class TestIngest:
         assert code == 2
         assert "XY" in err
 
+    def test_header_only_table_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text("label,value\n", encoding="utf-8")
+        code, _, err = run(capsys, "ingest", "--pauli", str(path), "--part", "1")
+        assert code == 3
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
@@ -222,6 +229,17 @@ class TestExitCodes:
         path.write_text("[1, 2, 3]", encoding="utf-8")
         code, _, _ = run(capsys, "discord", "--state", str(path), "--part", "1")
         assert code == 3
+
+    def test_deeply_nested_state_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text(
+            '{"dims": [2], "matrix": ' + "[" * depth + "]" * depth + "}",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, "discord", "--state", str(path), "--part", "1")
+        assert code == 3
+        assert "Traceback" not in err
 
     def test_part_out_of_range(self, tmp_path, capsys):
         state = tmp_path / "bell.json"

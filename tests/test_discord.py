@@ -291,6 +291,38 @@ class TestUpperBound:
         second, _ = discord_upper_bound(c, 2, restarts=4, seed=3)
         assert first == second
 
+    @staticmethod
+    def lower_bound(c, part):
+        # all but the top d-1 eigenvalues of the Gram of the non-identity
+        # rows of the mode-part unfolding; exact for a qubit party
+        t = c.tensor
+        m = np.moveaxis(t, part - 1, 0).reshape(t.shape[part - 1], -1)[1:]
+        evals = np.linalg.eigvalsh(m @ m.T)
+        return evals[: len(evals) - (c.party_dims[part - 1] - 1)].sum()
+
+    def test_qubit_party_of_mixed_dimension_state_is_exact(self):
+        cases = [
+            ((2, 3), 1, 0),
+            ((3, 2), 2, 0),
+            ((2, 2, 2), 1, 0),
+            ((3, 2), 2, 306),
+            ((2, 3), 1, 308),
+            ((3, 2), 2, 310),
+        ]
+        for dims, part, seed in cases:
+            c = coefficient_tensor(random_density(dims, seed=seed))
+            bound, _ = discord_upper_bound(c, part, restarts=1, seed=0)
+            assert abs(bound - self.lower_bound(c, part)) < 1e-9, (dims, part, seed)
+
+    def test_qudit_party_above_lower_bound_and_replayed(self):
+        cases = [((3, 3), 1), ((3, 2), 1), ((2, 3), 2), ((4, 2), 1), ((3, 2, 2), 1)]
+        for dims, part in cases:
+            for seed, rank in ((200, None), (201, 1)):
+                c = coefficient_tensor(random_density(dims, rank=rank, seed=seed))
+                bound, iso = discord_upper_bound(c, part, restarts=2, seed=0)
+                assert bound >= self.lower_bound(c, part) - 1e-12
+                assert abs(discord_from_isometry(c, iso, part) - bound) < 1e-12
+
 
 class TestInvariantProperties:
     def test_classical_quantum_states_have_zero_discord(self):

@@ -145,6 +145,12 @@ class TestPauliTableFiles:
         with pytest.raises(ParseError, match="empty"):
             load_pauli_table(path)
 
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("label,value\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="empty"):
+            load_pauli_table(path)
+
     def test_inconsistent_label_lengths(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("label,value\nXX,0.5\nXYZ,0.5\n", encoding="utf-8")

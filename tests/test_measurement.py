@@ -123,6 +123,12 @@ class TestMeasuredCoefficients:
         with pytest.raises(ValueError, match="orthonormal"):
             coefficients_after_measurement(c, bad, 1)
 
+    def test_rejects_party_out_of_range(self):
+        c = coefficient_tensor(bell())
+        for part in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                coefficients_after_measurement(c, isometry_from_axis([0, 0, 1.0]), part)
+
     def test_matches_direct_measurement_on_random_states(self):
         rng = np.random.default_rng(3)
         for seed in range(6):
