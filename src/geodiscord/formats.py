@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochDecomposition, CoefficientTensor, reconstruct_state
-from .tensor_ops import DensityMatrix, StateValidationError
+from .tensor_ops import MAX_DIMENSION, DensityMatrix, StateValidationError
 
 __all__ = [
     "ParseError",
@@ -81,6 +81,10 @@ class PauliTable:
     values: dict
 
     def __post_init__(self):
+        if self.n_qubits > math.log2(MAX_DIMENSION):
+            raise ValueError(
+                f"{self.n_qubits}-qubit labels exceed the dimension cap {MAX_DIMENSION}"
+            )
         for label, value in self.values.items():
             _check_label(label, self.n_qubits)
             if not math.isfinite(value):
@@ -182,13 +186,12 @@ def ingest_pauli_table(table: PauliTable, strict: bool = False) -> BlochDecompos
     rho = reconstruct_state(dec)
     try:
         rho.validate()
-    except StateValidationError:
+    except StateValidationError as exc:
         if strict:
             raise
-        lowest = float(np.linalg.eigvalsh(rho.matrix)[0])
         warnings.warn(
-            "ingested expectations are not a physical state "
-            f"(minimum eigenvalue {lowest:.3e}); proceeding on the raw tensors",
+            f"ingested expectations are not a physical state ({exc}); "
+            "proceeding on the raw tensors",
             stacklevel=2,
         )
     return dec

@@ -167,13 +167,7 @@ def classical_quantum_state(probs, basis: ProjectiveBasis, conditionals) -> Dens
     for weight, ket, cond in zip(p, basis.kets, conditionals):
         stacked += weight * np.kron(np.outer(ket, ket.conj()), cond.matrix)
     # parties currently ordered (k, 1, .., k-1, k+1, .., N); sort them
-    dims_in_order = (basis.dim,) + rest_dims
-    positions = {k: 1}
-    pos = 2
-    for label in range(1, n + 1):
-        if label != k:
-            positions[label] = pos
-            pos += 1
-    unsorted = DensityMatrix(stacked, dims_in_order, validate=False)
-    result = permute_parties(unsorted, tuple(positions[lbl] for lbl in range(1, n + 1)))
+    unsorted = DensityMatrix(stacked, (basis.dim,) + rest_dims, validate=False)
+    order = tuple(range(2, k + 1)) + (1,) + tuple(range(k + 1, n + 1))
+    result = permute_parties(unsorted, order)
     return DensityMatrix(result.matrix, result.party_dims)

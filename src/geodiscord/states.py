@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import DensityMatrix
+from .tensor_ops import MAX_DIMENSION, DensityMatrix
 
 __all__ = [
     "FAMILIES",
@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 FAMILIES = ("ghz-noise", "w-ghz", "ghz-ghzminus")
+_MAX_QUBITS = int(math.log2(MAX_DIMENSION))
 
 
 def _pure(amplitudes, party_dims) -> DensityMatrix:
@@ -34,8 +35,8 @@ def _pure(amplitudes, party_dims) -> DensityMatrix:
 
 def ghz(n_qubits: int = 3) -> DensityMatrix:
     """(|0..0> + |1..1>)/sqrt(2) on ``n_qubits`` qubits."""
-    if n_qubits < 2:
-        raise ValueError("ghz needs at least two qubits")
+    if not 2 <= n_qubits <= _MAX_QUBITS:
+        raise ValueError(f"ghz needs 2 to {_MAX_QUBITS} qubits (dimension cap {MAX_DIMENSION})")
     ket = np.zeros(2**n_qubits)
     ket[0] = ket[-1] = 1.0
     return _pure(ket, (2,) * n_qubits)
@@ -43,8 +44,8 @@ def ghz(n_qubits: int = 3) -> DensityMatrix:
 
 def ghz_minus(n_qubits: int = 3) -> DensityMatrix:
     """(|0..0> - |1..1>)/sqrt(2) on ``n_qubits`` qubits."""
-    if n_qubits < 2:
-        raise ValueError("ghz-minus needs at least two qubits")
+    if not 2 <= n_qubits <= _MAX_QUBITS:
+        raise ValueError(f"ghz-minus needs 2 to {_MAX_QUBITS} qubits (dimension cap {MAX_DIMENSION})")
     ket = np.zeros(2**n_qubits)
     ket[0], ket[-1] = 1.0, -1.0
     return _pure(ket, (2,) * n_qubits)
@@ -65,6 +66,8 @@ def bell() -> DensityMatrix:
 def maximally_mixed(party_dims) -> DensityMatrix:
     dims = tuple(int(d) for d in party_dims)
     side = math.prod(dims)
+    if side > MAX_DIMENSION:
+        raise ValueError(f"total dimension {side} exceeds the cap of {MAX_DIMENSION}")
     return DensityMatrix(np.eye(side) / side, dims)
 
 

@@ -29,6 +29,9 @@ __all__ = [
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-10
+# cap on the total dimension of a state built by name or from a Pauli table,
+# checked before anything is allocated; a dense 4096 x 4096 matrix is 256 MiB
+MAX_DIMENSION = 2**12
 
 
 class StateValidationError(ValueError):

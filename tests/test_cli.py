@@ -194,6 +194,15 @@ class TestIngest:
         assert code == 3
         assert "Traceback" not in err
 
+    def test_table_over_dimension_cap_is_validation_error(self, tmp_path, capsys):
+        # 18 qubits: the full coefficient tensor would take 512 GiB
+        path = tmp_path / "wide.csv"
+        path.write_text("label,value\n" + "I" * 18 + ",1\n", encoding="utf-8")
+        code, _, err = run(capsys, "ingest", "--pauli", str(path), "--part", "1")
+        assert code == 2
+        assert "4096" in err
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
@@ -246,6 +255,15 @@ class TestExitCodes:
         run(capsys, "gen", "--name", "bell", "--out", str(state))
         code, _, err = run(capsys, "discord", "--state", str(state), "--part", "5")
         assert code == 2
+
+    def test_gen_over_dimension_cap_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        for name in ("ghz(40)", "max-mixed(100000)"):
+            code, _, err = run(capsys, "gen", "--name", name, "--out", str(out))
+            assert code == 2, name
+            assert "4096" in err
+            assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_gen_name(self, tmp_path, capsys):
         code, _, err = run(

@@ -323,6 +323,13 @@ class TestUpperBound:
                 assert bound >= self.lower_bound(c, part) - 1e-12
                 assert abs(discord_from_isometry(c, iso, part) - bound) < 1e-12
 
+    def test_rank_one_state_converges(self):
+        # steepest ascent zig-zagged here and stopped at its step cap 4.4e-8
+        # above the value that coordinate ascent reaches
+        c = coefficient_tensor(random_density((3, 2), rank=1, seed=202))
+        bound, _ = discord_upper_bound(c, 1, restarts=4, seed=0)
+        assert abs(bound - 0.0717389844) < 1e-9
+
 
 class TestInvariantProperties:
     def test_classical_quantum_states_have_zero_discord(self):
