@@ -64,11 +64,19 @@ def load_state(path) -> DensityMatrix:
         raise ParseError(f"{path}: expected an object with 'dims' and 'matrix'")
     try:
         dims = [int(d) for d in payload["dims"]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed dims or matrix ({exc})") from exc
+    side = math.prod(dims)
+    if side > MAX_DIMENSION:
+        raise ValueError(
+            f"{path}: total dimension {side} exceeds the cap of {MAX_DIMENSION}"
+        )
+    try:
         rows = payload["matrix"]
         matrix = np.array(
             [[complex(entry[0], entry[1]) for entry in row] for row in rows]
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed dims or matrix ({exc})") from exc
     return DensityMatrix(matrix, dims)
 

@@ -94,16 +94,28 @@ class DensityMatrix:
     def validate(self) -> "DensityMatrix":
         """Check finite entries, Hermiticity, unit trace and positivity.
 
-        Raises StateValidationError naming the first check that fails.
+        Positivity means that the lowest eigenvalue of H = (m + m^H)/2 is at
+        least -POSITIVITY_ATOL, that is, that H + POSITIVITY_ATOL * I is
+        positive semidefinite.  It is tested by one Cholesky factorization
+        of that shifted matrix; only when the factorization fails is the
+        lowest eigenvalue computed with ``eigvalsh``, which decides and goes
+        into the message.  The two tests can disagree only from rounding,
+        in a band of width about n * eps * ||rho|| around -POSITIVITY_ATOL
+        (n the side of the matrix).  The matrix itself is never modified.
+
+        Returns ``self``; raises StateValidationError naming the first check
+        that fails.
         """
         m = self.matrix
-        bad = np.argwhere(~np.isfinite(m))
-        if bad.size:
-            i, j = bad[0]
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
             raise StateValidationError(
                 "finite", f"matrix entry ({i}, {j}) is not finite: {m[i, j]}"
             )
-        delta = np.abs(m - m.conj().T)
+        # the one full-size temporary, laid out like m: m^H - m, later H
+        h = np.conjugate(m.T, order="C")
+        h -= m
+        delta = np.abs(h)
         if delta.max() > HERMITICITY_ATOL:
             i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
             raise StateValidationError(
@@ -111,16 +123,25 @@ class DensityMatrix:
                 f"matrix is not Hermitian: entry ({i}, {j}) differs from the "
                 f"conjugate of ({j}, {i}) by {delta[i, j]:.3e}",
             )
+        del delta  # freed before the factorization needs its own buffers
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise StateValidationError(
                 "trace", f"trace is {tr.real:.12g}, expected 1"
             )
-        lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if lowest < -POSITIVITY_ATOL:
-            raise StateValidationError(
-                "positivity", f"minimum eigenvalue {lowest:.3e} is negative"
-            )
+        h *= 0.5
+        h += m
+        h.reshape(-1)[:: len(h) + 1] += POSITIVITY_ATOL  # the diagonal, in place
+        # h.T is conj(H), with the same eigenvalues, already in the
+        # column-major order that LAPACK copies into
+        try:
+            np.linalg.cholesky(h.T)
+        except np.linalg.LinAlgError:
+            lowest = float(np.linalg.eigvalsh(h.T)[0]) - POSITIVITY_ATOL
+            if lowest < -POSITIVITY_ATOL:
+                raise StateValidationError(
+                    "positivity", f"minimum eigenvalue {lowest:.3e} is negative"
+                ) from None
         return self
 
     def purity(self) -> float:

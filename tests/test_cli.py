@@ -265,6 +265,30 @@ class TestExitCodes:
             assert "Traceback" not in err
         assert not out.exists()
 
+    def test_state_over_dimension_cap_is_validation_error(self, tmp_path, capsys):
+        # the cap is checked before the (here deliberately tiny) matrix is read
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps({"dims": [2] * 13, "matrix": [[[1.0, 0.0]]]}), encoding="utf-8"
+        )
+        code, out, err = run(capsys, "discord", "--state", str(path), "--part", "1")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "4096" in lines[0]
+
+    def test_overflowing_numbers_in_state_are_parse_errors(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        for text in (
+            '{"dims": [1e400], "matrix": [[[1, 0]]]}',
+            '{"dims": [1], "matrix": [[[1' + "0" * 400 + ', 0]]]}',
+        ):
+            path.write_text(text, encoding="utf-8")
+            code, _, err = run(capsys, "discord", "--state", str(path), "--part", "1")
+            assert code == 3
+            assert "Traceback" not in err
+
     def test_unknown_gen_name(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gen", "--name", "mystery", "--out", str(tmp_path / "x.json")

@@ -16,6 +16,7 @@ from geodiscord import (
     sym3_top_eigen,
 )
 from geodiscord.states import ghz, random_density, w_state
+from geodiscord.tensor_ops import POSITIVITY_ATOL
 
 
 class TestNModeProduct:
@@ -227,3 +228,45 @@ class TestDensityMatrixValidation:
         assert abs(ghz().purity() - 1.0) < 1e-12
         mixed = DensityMatrix(np.eye(4) / 4, (2, 2))
         assert abs(mixed.purity() - 0.25) < 1e-12
+
+
+class TestPositivityBoundary:
+    """The Cholesky test of H + POSITIVITY_ATOL * I at and around the boundary."""
+
+    @staticmethod
+    def rotated_state(lowest, dim=8, seed=17):
+        # trace-1 state whose eigenvalues are ``lowest`` and positive weights,
+        # in the basis of a random unitary so no entry is on the diagonal only
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.5, 1.5, dim - 1)
+        evals = np.concatenate([[lowest], weights * (1.0 - lowest) / weights.sum()])
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        m = (u * evals) @ u.conj().T
+        return (m + m.conj().T) / 2.0
+
+    def test_pure_ten_qubit_state_validates(self):
+        rho = random_density((2,) * 10, rank=1, seed=5)
+        assert rho.validate() is rho
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("scale", [-0.5, -0.9, 0.0])
+    def test_lowest_eigenvalue_inside_tolerance_is_accepted(self, dims, scale):
+        m = self.rotated_state(scale * POSITIVITY_ATOL, dim=int(np.prod(dims)))
+        DensityMatrix(m, dims)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("scale", [-10.0, -1.1])
+    def test_lowest_eigenvalue_beyond_tolerance_is_rejected(self, dims, scale):
+        m = self.rotated_state(scale * POSITIVITY_ATOL, dim=int(np.prod(dims)))
+        with pytest.raises(StateValidationError) as err:
+            DensityMatrix(m, dims)
+        assert err.value.check == "positivity"
+        assert "minimum eigenvalue" in str(err.value)
+
+    def test_validate_returns_self_and_leaves_matrix_untouched(self):
+        rho = random_density((2, 3), seed=9)
+        before = rho.matrix.copy()
+        assert rho.validate() is rho
+        assert rho.matrix.tobytes() == before.tobytes()
