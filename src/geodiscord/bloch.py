@@ -136,16 +136,25 @@ def _bases_for(party_dims, bases):
     return bases
 
 
+def _contract_modes(cur: np.ndarray, mats) -> np.ndarray:
+    # one gemm per matrix: the leading mode of cur is contracted with it and
+    # appended last, so after all of them the modes are back in order
+    for mat in mats:
+        cur = cur.reshape(len(mat), -1).T @ mat
+    return cur
+
+
 def coefficient_tensor(rho: DensityMatrix, bases=None) -> CoefficientTensor:
     """Coefficients c[i_1..i_N] = tr(rho X(1)[i_1] (x) ... (x) X(N)[i_N])."""
     dims = rho.party_dims
     bases = _bases_for(dims, bases)
     n = len(dims)
-    cur = rho.matrix.reshape(dims + dims)
-    for m in range(n):
-        # contract (row_m, col_m) with X[i][col, row]; appends index i_m last
-        cur = np.tensordot(cur, bases[m].elements, axes=([0, n - m], [2, 1]))
-    return CoefficientTensor(dims, np.ascontiguousarray(cur.real))
+    # axes (r_1, c_1, ..., r_N, c_N); each pair is summed against X[i][c, r]
+    interleaved = [axis for m in range(n) for axis in (m, n + m)]
+    cur = rho.matrix.reshape(dims + dims).transpose(interleaved)
+    mats = [b.elements.transpose(0, 2, 1).reshape(b.dim**2, -1).T for b in bases]
+    c = _contract_modes(cur, mats).real.reshape([d * d for d in dims])
+    return CoefficientTensor(dims, np.ascontiguousarray(c))
 
 
 def state_from_coefficients(
@@ -160,9 +169,8 @@ def state_from_coefficients(
     dims = coeffs.party_dims
     bases = _bases_for(dims, bases)
     n = len(dims)
-    cur = coeffs.tensor.astype(complex)
-    for m in range(n):
-        cur = np.tensordot(cur, bases[m].elements, axes=(0, 0))
+    mats = [b.elements.reshape(b.dim**2, -1) for b in bases]
+    cur = _contract_modes(coeffs.tensor, mats).reshape([d for d in dims for _ in range(2)])
     # axes are now (r1, c1, r2, c2, ...); interleave back to (rows..., cols...)
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     side = math.prod(dims)

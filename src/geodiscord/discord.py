@@ -236,9 +236,13 @@ def discord_upper_bound(
 
     The result is the best value found, an upper bound on the true discord
     and not a certificate: for parties of dimension 3 or more the ascent can
-    stop at a local maximum.  For a qubit party the objective has no local
-    maximum but the global one, so one restart reaches the closed form.
+    stop at a local maximum.  A qubit party needs no ascent: whatever the
+    dimensions of the others, the closed form and its optimal axis are
+    exact, and they are returned without drawing any restart.
     """
+    if 1 <= part <= coeffs.n_parties and coeffs.party_dims[part - 1] == 2:
+        value, _, _, e_max = _closed_form(coeffs.tensor, part)
+        return value, isometry_from_axis(e_max)
     m = _unfolding(coeffs.tensor, part)
     g = m @ m.T
     norm_c = float(np.trace(g))

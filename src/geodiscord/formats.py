@@ -62,10 +62,12 @@ def load_state(path) -> DensityMatrix:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "dims" not in payload or "matrix" not in payload:
         raise ParseError(f"{path}: expected an object with 'dims' and 'matrix'")
-    try:
-        dims = [int(d) for d in payload["dims"]]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: malformed dims or matrix ({exc})") from exc
+    dims = payload["dims"]
+    # int() would read "22" as two parties and truncate 2.7 and true
+    if not isinstance(dims, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in dims
+    ):
+        raise ParseError(f"{path}: dims must be a JSON list of integers")
     side = math.prod(dims)
     if side > MAX_DIMENSION:
         raise ValueError(

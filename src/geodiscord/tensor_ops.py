@@ -174,9 +174,9 @@ def n_mode_product(tensor, matrix, mode: int) -> np.ndarray:
 
 
 def frobenius_norm_sq(tensor) -> float:
-    """Sum of squared entries of a real tensor."""
+    """Sum of squared entries of a real tensor, without a full-size temporary."""
     t = np.asarray(tensor, dtype=float)
-    return float((t * t).sum())
+    return float(np.vdot(t, t))
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,25 @@ CHAIN_AXIS_PREFERENCE = (2, 1, 0)
 
 @dataclass(frozen=True)
 class ChainStep:
+    """One measurement of the chain.
+
+    ``kept`` is C x_j A(j) over the parties j measured up to this step, with
+    2 entries on each of their modes.  ``coefficients``, the full-shape
+    tensor after this step's measurement, is built from it on each access.
+    """
+
     part: int
     value: float
     isometry: Isometry
-    coefficients: CoefficientTensor  # tensor after this step's measurement
+    measured: tuple  # (part, Isometry) of this step and every earlier one
+    kept: np.ndarray
+
+    @property
+    def coefficients(self) -> CoefficientTensor:
+        t = self.kept
+        for part, iso in self.measured:
+            t = n_mode_product(t, iso.matrix.T, part)
+        return CoefficientTensor((2,) * t.ndim, t)
 
 
 @dataclass(frozen=True)
@@ -58,8 +73,10 @@ def total_quantum_correlations(
 
     At each step the discord of the next party in ``order`` is computed on
     the current (partially measured) tensor via the closed form, the optimal
-    isometry recorded, and the tensor projected by A^t A.  Q is the sum of
-    the step values.
+    isometry A recorded, and the tensor contracted with A, which halves it
+    and, A having orthonormal rows, leaves every later Gram matrix as for
+    C x A^t A.  Q is the sum of the step values; each step's full-shape
+    ``coefficients`` are built only when accessed.
     """
     n = dec.n_qubits
     if order is None:
@@ -67,14 +84,15 @@ def total_quantum_correlations(
     order = tuple(int(k) for k in order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"{order} is not a permutation of parties 1..{n}")
-    dims = (2,) * n
     cur = dec.coefficients.tensor
+    measured = ()
     steps = []
     for part in order:
         value, _, _, axis = _closed_form(cur, part, CHAIN_AXIS_PREFERENCE)
         iso = isometry_from_axis(axis)
-        cur = n_mode_product(cur, iso.matrix.T @ iso.matrix, part)
-        steps.append(ChainStep(part, value, iso, CoefficientTensor(dims, cur)))
+        cur = n_mode_product(cur, iso.matrix, part)
+        measured += ((part, iso),)
+        steps.append(ChainStep(part, value, iso, measured, cur))
     return TotalCorrelationReport(sum(step.value for step in steps), order, tuple(steps))
 
 

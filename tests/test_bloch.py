@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from geodiscord import (
     DensityMatrix,
+    HermitianBasis,
     bloch_decompose,
     coefficient_tensor,
     coefficients_from_decomposition,
@@ -77,6 +78,43 @@ class TestCoefficientTensor:
             coefficient_tensor(rho, bases=[hermitian_basis(2), hermitian_basis(3)])
         with pytest.raises(ValueError, match="bases"):
             coefficient_tensor(rho, bases=[hermitian_basis(2)])
+
+    @staticmethod
+    def rotated_basis(dim, seed):
+        # mixes the traceless elements by a random orthogonal matrix, then
+        # conjugates all of them by a random unitary
+        rng = np.random.default_rng(seed)
+        elements = hermitian_basis(dim).elements
+        q = np.linalg.qr(rng.standard_normal((dim * dim - 1,) * 2))[0]
+        mixed = np.concatenate([elements[:1], np.einsum("ij,jab->iab", q, elements[1:])])
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        u = np.linalg.qr(z)[0]
+        return HermitianBasis(dim, u @ mixed @ u.conj().T)
+
+    @staticmethod
+    def coefficients_by_einsum(rho, bases):
+        # tr(rho X(1)[i_1] (x) ... (x) X(N)[i_N]) = sum rho[r, c] prod X(m)[i_m][c_m, r_m]
+        n = len(bases)
+        rows, cols, idx = "abcd"[:n], "efgh"[:n], "ijkl"[:n]
+        spec = rows + cols + "," + ",".join(
+            idx[m] + cols[m] + rows[m] for m in range(n)
+        ) + "->" + idx
+        dims = rho.party_dims
+        operands = [b.elements for b in bases]
+        return np.einsum(spec, rho.matrix.reshape(dims + dims), *operands).real
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 3), (3, 2, 2), (4, 2)])
+    def test_matches_trace_definition(self, dims):
+        default = [hermitian_basis(d) for d in dims]
+        rotated = [self.rotated_basis(d, seed=60 + d) for d in dims]
+        for seed, rank in ((50, None), (51, 1)):
+            rho = random_density(dims, rank=rank, seed=seed)
+            for bases in (None, rotated):
+                c = coefficient_tensor(rho, bases=bases)
+                expected = self.coefficients_by_einsum(rho, bases or default)
+                assert_allclose(c.tensor, expected, rtol=0, atol=1e-14)
+                back = state_from_coefficients(c, bases=bases)
+                assert_allclose(back.matrix, rho.matrix, rtol=0, atol=1e-13)
 
 
 class TestBlochDecompose:

@@ -289,6 +289,19 @@ class TestExitCodes:
             assert code == 3
             assert "Traceback" not in err
 
+    def test_dims_that_are_not_integers_are_parse_errors(self, tmp_path, capsys):
+        state = tmp_path / "bell.json"
+        run(capsys, "gen", "--name", "bell", "--out", str(state))
+        payload = json.loads(state.read_text(encoding="utf-8"))
+        # int() reads each of these as two qubits, or true as a trivial party
+        for dims in ("22", {"2": 0, " 2": 0}, [2.7, 2], [2.0, 2.0], [True, True]):
+            payload["dims"] = dims
+            state.write_text(json.dumps(payload), encoding="utf-8")
+            code, out, err = run(capsys, "discord", "--state", str(state), "--part", "1")
+            assert code == 3, dims
+            assert out == ""
+            assert "dims" in err and "Traceback" not in err
+
     def test_unknown_gen_name(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gen", "--name", "mystery", "--out", str(tmp_path / "x.json")

@@ -314,6 +314,15 @@ class TestUpperBound:
             bound, _ = discord_upper_bound(c, part, restarts=1, seed=0)
             assert abs(bound - self.lower_bound(c, part)) < 1e-9, (dims, part, seed)
 
+    def test_qubit_party_is_exact_at_any_restart_count(self):
+        cases = [((2, 3), 1), ((3, 2), 2), ((2, 2, 3), 2), ((2, 4), 1), ((3, 2, 2), 3)]
+        for dims, part in cases:
+            for seed, rank in ((320, None), (321, 1)):
+                c = coefficient_tensor(random_density(dims, rank=rank, seed=seed))
+                bound, iso = discord_upper_bound(c, part, restarts=32, seed=0)
+                assert abs(bound - self.lower_bound(c, part)) < 1e-12, (dims, part, seed)
+                assert abs(discord_from_isometry(c, iso, part) - bound) < 1e-12
+
     def test_qudit_party_above_lower_bound_and_replayed(self):
         cases = [((3, 3), 1), ((3, 2), 1), ((2, 3), 2), ((4, 2), 1), ((3, 2, 2), 1)]
         for dims, part in cases:

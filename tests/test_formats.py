@@ -84,6 +84,17 @@ class TestStateFiles:
         assert err.value.check == "trace"
         assert "0.98" in str(err.value)
 
+    # int() reads a string or an object's keys digit by digit and
+    # accepts 1.7, 1.0 and true
+    @pytest.mark.parametrize(
+        "dims", ['"1"', '{"1": 0}', "[1.7]", "[true]", "[1.0]", "1", "null"]
+    )
+    def test_dims_must_be_a_list_of_integers(self, tmp_path, dims):
+        path = tmp_path / "dims.json"
+        path.write_text('{"dims": ' + dims + ', "matrix": [[[1, 0]]]}', encoding="utf-8")
+        with pytest.raises(ParseError, match="dims"):
+            load_state(path)
+
 
 class TestPauliTableFiles:
     def test_round_trip(self, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -124,6 +126,19 @@ class TestChainInvariants:
         report = total_quantum_correlations(bloch_decompose(chi), order=(2, 1, 3))
         assert report.steps[0].value < 1e-10
         assert abs(report.q_value - sum(s.value for s in report.steps[1:])) < 1e-10
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6])
+    def test_step_coefficients_equal_projected_tensor(self, n_qubits):
+        # each step's tensor is C x_1 A(1)^t A(1) ... over the parties so far
+        dec = bloch_decompose(random_density((2,) * n_qubits, seed=70 + n_qubits))
+        for order in itertools.permutations(range(1, n_qubits + 1)):
+            projected = dec.coefficients.tensor
+            for step in total_quantum_correlations(dec, order).steps:
+                a = step.isometry.matrix
+                projected = n_mode_product(projected, a.T @ a, step.part)
+                coeffs = step.coefficients
+                assert coeffs.party_dims == (2,) * n_qubits
+                assert_allclose(coeffs.tensor, projected, rtol=0, atol=1e-12)
 
 
 class TestTwoQubitTotal:
