@@ -48,7 +48,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianBasis:
     """Orthonormal Hermitian basis of the d x d operators, X[0] = I/sqrt(d)."""
 
@@ -100,7 +100,7 @@ def qubit_basis() -> HermitianBasis:
     return hermitian_basis(2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTensor:
     """Expansion coefficients of a state, one tensor index per party."""
 
@@ -144,17 +144,107 @@ def _contract_modes(cur: np.ndarray, mats) -> np.ndarray:
     return cur
 
 
+@lru_cache(maxsize=None)
+def _real_forms(dim: int):
+    """(Y, imaginary) with X[i] = Y[i], or X[i] = i Y[i] where imaginary[i] = 1.
+
+    Every element of ``hermitian_basis(dim)`` is real-symmetric or i times
+    real-antisymmetric, so Y = Re X + Im X is real in both cases.
+    """
+    e = hermitian_basis(dim).elements
+    return e.real + e.imag, (e.imag != 0).any(axis=(1, 2)).astype(np.int8)
+
+
+def _groups(dims) -> list:
+    # consecutive qubit pairs share one 16 x 16 map; any other party is alone
+    groups = []
+    for m, d in enumerate(dims):
+        if d == 2 and groups and groups[-1] == (m - 1,) and dims[m - 1] == 2:
+            groups[-1] = (m - 1, m)
+        else:
+            groups.append((m,))
+    return groups
+
+
+@lru_cache(maxsize=None)
+def _group_map(dims) -> np.ndarray:
+    """Real map from a group's entries of T, rows then columns, to its indices.
+
+    Entry [(r_1..r_g, c_1..c_g), (i_1..i_g)] is the product of the real
+    forms Y(m)[i_m][c_m, r_m], so a row of T against it gives tr(T Y...).
+    """
+    m = np.ones((1, 1, 1))  # (rows, columns, indices) of the parties so far
+    for d in dims:
+        y = _real_forms(d)[0]
+        m = np.einsum("RCI,icr->RrCcIi", m, y).reshape(
+            len(m) * d, m.shape[1] * d, m.shape[2] * d * d
+        )
+    return m.reshape(-1, m.shape[2])
+
+
+def _signs(dims) -> np.ndarray:
+    """s(m) = +1, -1, -1, +1 for m mod 4 = 0, 1, 2, 3, one byte per entry of C.
+
+    m counts the imaginary factors X = i Y of the entry's basis product.
+    Built on each call: a cached table would stay in the heap between the
+    large buffers and raise the peak memory more than it saves in time.
+    """
+    m = np.ones((), np.int8)  # 1 + m, so that bit 1 is set for m mod 4 in {1, 2}
+    for d in reversed(dims):
+        m = np.add.outer(_real_forms(d)[1], m)
+    m &= 2
+    return np.subtract(1, m, out=m)
+
+
 def coefficient_tensor(rho: DensityMatrix, bases=None) -> CoefficientTensor:
-    """Coefficients c[i_1..i_N] = tr(rho X(1)[i_1] (x) ... (x) X(N)[i_N])."""
+    """Coefficients c[i_1..i_N] = tr(rho X(1)[i_1] (x) ... (x) X(N)[i_N]).
+
+    Computed in real arithmetic.  Each default basis element is X = Y with
+    Y real-symmetric or X = iY with Y real-antisymmetric, and for Hermitian
+    rho = R + iJ, with T = R + J,
+
+        tr(rho X(1)[i_1] (x) ... (x) X(N)[i_N]) = s(m) tr(T Y(1)[i_1] (x) ...)
+
+    where m counts the imaginary factors and s(m) = +1, -1, -1, +1 for
+    m mod 4 = 0, 1, 2, 3: a product with m antisymmetric factors is
+    symmetric for even m and antisymmetric for odd m, so it meets only R or
+    only J, and i^m, or i^m i for the J part, is real.  T is permuted once
+    so that each group of parties (a pair of qubits, or one party) has its
+    rows and columns together, then one real product per group contracts
+    them, and the signs are applied in place.  Custom ``bases`` then rotate
+    each mode by the real orthogonal Q[i, j] = tr(X[i] E[j]) from the
+    default basis E.  The anti-Hermitian part of rho, which validation
+    bounds by its Hermiticity tolerance, is not projected out and enters C
+    at that size.
+    """
     dims = rho.party_dims
     bases = _bases_for(dims, bases)
     n = len(dims)
-    # axes (r_1, c_1, ..., r_N, c_N); each pair is summed against X[i][c, r]
-    interleaved = [axis for m in range(n) for axis in (m, n + m)]
-    cur = rho.matrix.reshape(dims + dims).transpose(interleaved)
-    mats = [b.elements.transpose(0, 2, 1).reshape(b.dim**2, -1).T for b in bases]
-    c = _contract_modes(cur, mats).real.reshape([d * d for d in dims])
-    return CoefficientTensor(dims, np.ascontiguousarray(c))
+    groups = _groups(dims)
+    size = rho.matrix.size
+    # one work block holds T and the products in turn; the last product
+    # writes C fresh, and the block is freed as a whole
+    work = np.empty(2 * size)
+    halves = (work[:size], work[size:])
+    t = np.add(rho.matrix.real, rho.matrix.imag, out=halves[1].reshape(rho.matrix.shape))
+    axes = [a for g in groups for a in (*g, *(n + m for m in g))]
+    cur = halves[0].reshape([(dims + dims)[a] for a in axes])
+    cur[...] = t.reshape(dims + dims).transpose(axes)
+    for j, g in enumerate(groups):
+        mat = _group_map(tuple(dims[m] for m in g))
+        lhs = cur.reshape(len(mat), -1).T
+        out = None if j == len(groups) - 1 else halves[(j + 1) % 2].reshape(len(lhs), -1)
+        cur = np.matmul(lhs, mat, out=out)
+    del work, halves, t, lhs
+    c = cur.reshape([d * d for d in dims])
+    c *= _signs(dims)
+    if any(b is not hermitian_basis(d) for b, d in zip(bases, dims)):
+        rotations = [
+            np.einsum("iab,jba->ij", b.elements, hermitian_basis(b.dim).elements).real.T
+            for b in bases
+        ]
+        c = _contract_modes(c, rotations).reshape(c.shape)
+    return CoefficientTensor(dims, c)
 
 
 def state_from_coefficients(

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
     """Real d x d^2 matrix whose rows expand rank-1 projectors of a party.
 
@@ -75,7 +75,7 @@ def validate_isometry(iso: Isometry, atol: float = 1e-10) -> Isometry:
     return iso
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscordReport:
     """Discord value for one measured party with its optimality witnesses."""
 
@@ -93,35 +93,48 @@ def _clamp(value: float) -> float:
     return 0.0 if -1e-12 < value < 0.0 else value
 
 
-def _unfolding(tensor: np.ndarray, part: int) -> np.ndarray:
-    """Mode-``part`` unfolding of C: one row per basis index of the party.
+def _gram(tensor: np.ndarray, part: int) -> np.ndarray:
+    """M M^t for M the mode-``part`` unfolding of C, from one read of C.
 
-    The columns run over every index combination of the other parties.
+    Row and column 0 belong to the identity element, so the trace is
+    ||C||^2.  C is viewed without a copy as V of shape (A, d^2, B), A and B
+    the sizes of the modes before and after ``part``, and M M^t is the sum
+    over a of V[a] V[a]^t.  When d^2 B < 256 and A > 1 it is read instead
+    from the (A, d^2 B) view W: W^t W has d^2 x d^2 blocks indexed by pairs
+    of the last modes, and the B diagonal blocks add up to M M^t.
+    Otherwise the stacked products V[a] V[a]^t are summed, in slices of a
+    that keep the stacked result within 2^16 entries.
     """
     n = tensor.ndim
     if not 1 <= part <= n:
         raise ValueError(f"party {part} out of range 1..{n}")
-    return np.moveaxis(tensor, part - 1, 0).reshape(tensor.shape[part - 1], -1)
-
-
-def _gram(tensor: np.ndarray, part: int) -> np.ndarray:
-    """2^N M M^t for M the rows 1..3 of the mode-``part`` unfolding of C.
-
-    M M^t collects s(k) s(k)^t and U^t U for each T(S) with k in S.
-    """
-    m = _unfolding(tensor, part)[1:]
-    return 2.0**tensor.ndim * (m @ m.T)
+    d2 = tensor.shape[part - 1]
+    a = math.prod(tensor.shape[: part - 1])
+    b = math.prod(tensor.shape[part:])
+    if a > 1 and d2 * b < 256:
+        w = tensor.reshape(a, d2 * b)
+        return np.trace((w.T @ w).reshape(d2, b, d2, b), axis1=1, axis2=3)
+    v = tensor.reshape(a, d2, b)
+    step = max(1, 2**16 // d2**2)
+    g = np.zeros((d2, d2))
+    for start in range(0, a, step):
+        x = v[start : start + step]
+        g += np.matmul(x, x.transpose(0, 2, 1)).sum(axis=0)
+    return g
 
 
 def _closed_form(tensor: np.ndarray, part: int, prefer_axes=(0, 1, 2)):
-    """(D_k, G, eta_max, e_max) of a qubit coefficient tensor.
+    """(D_k, F, eta_max, e_max) of a qubit coefficient tensor.
 
-    tr G is the squared norm of every correlation involving ``part``, so
-    D_k = (tr G - eta_max) / 2^N.
+    F is the 4 x 4 Gram of the mode-``part`` unfolding, so tr F = ||C||^2,
+    and G = 2^N F[1:, 1:] collects s(k) s(k)^t and U^t U for each T(S) with
+    k in S.  tr G is the squared norm of every correlation involving
+    ``part``, so D_k = (tr G - eta_max) / 2^N.
     """
-    g = _gram(tensor, part)
+    full = _gram(tensor, part)
+    g = 2.0**tensor.ndim * full[1:, 1:]
     eta_max, e_max = sym3_top_eigen(g, prefer_axes=prefer_axes)
-    return _clamp((float(np.trace(g)) - eta_max) / 2.0**tensor.ndim), g, eta_max, e_max
+    return _clamp((float(np.trace(g)) - eta_max) / 2.0**tensor.ndim), full, eta_max, e_max
 
 
 def correlation_gram(dec: BlochDecomposition, part: int) -> Sym3:
@@ -131,20 +144,22 @@ def correlation_gram(dec: BlochDecomposition, part: int) -> Sym3:
     flattened over all other parties (party axis last); the coherent vector
     contributes its outer product.
     """
-    return Sym3.from_matrix(_gram(dec.coefficients.tensor, part))
+    tensor = dec.coefficients.tensor
+    return Sym3.from_matrix(2.0**tensor.ndim * _gram(tensor, part)[1:, 1:])
 
 
 def discord_closed_form(dec: BlochDecomposition, part: int) -> DiscordReport:
     """Exact discord of a qubit party, with all optimality witnesses."""
-    value, g, eta_max, e_max = _closed_form(dec.coefficients.tensor, part)
+    tensor = dec.coefficients.tensor
+    value, full, eta_max, e_max = _closed_form(tensor, part)
     return DiscordReport(
         part=part,
         value=value,
-        g=Sym3.from_matrix(g),
+        g=Sym3.from_matrix(2.0**tensor.ndim * full[1:, 1:]),
         eta_max=eta_max,
         e_max=e_max,
         a_tilde=isometry_from_axis(e_max),
-        norm_c_sq=dec.coefficients.norm_sq(),
+        norm_c_sq=float(np.trace(full)),
     )
 
 
@@ -174,13 +189,13 @@ def discord_from_isometry(
     optimal one.
     """
     validate_isometry(iso)
-    m = _unfolding(coeffs.tensor, part)
-    if iso.dim**2 != m.shape[0]:
+    g = _gram(coeffs.tensor, part)
+    if iso.dim**2 != len(g):
         raise ValueError(
-            f"isometry dimension {iso.dim} does not match mode {part} size "
-            f"{m.shape[0]}"
+            f"isometry dimension {iso.dim} does not match mode {part} size {len(g)}"
         )
-    return _clamp(coeffs.norm_sq() - frobenius_norm_sq(iso.matrix @ m))
+    a = iso.matrix
+    return _clamp(float(np.trace(g)) - float(np.vdot(a @ g, a)))
 
 
 def discord_two_qubit(rho: DensityMatrix, part: int) -> float:
@@ -243,10 +258,9 @@ def discord_upper_bound(
     if 1 <= part <= coeffs.n_parties and coeffs.party_dims[part - 1] == 2:
         value, _, _, e_max = _closed_form(coeffs.tensor, part)
         return value, isometry_from_axis(e_max)
-    m = _unfolding(coeffs.tensor, part)
-    g = m @ m.T
+    g = _gram(coeffs.tensor, part)
     norm_c = float(np.trace(g))
-    dim = math.isqrt(m.shape[0])
+    dim = math.isqrt(len(g))
     basis = hermitian_basis(dim).elements
     flat_basis = basis.reshape(dim * dim, -1)
 

@@ -10,6 +10,7 @@ is absent is treated as not measured, never as zero.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -37,14 +38,19 @@ class ParseError(ValueError):
 
 
 def dumps_state(rho: DensityMatrix) -> str:
-    payload = {
-        "dims": list(rho.party_dims),
-        "matrix": [
-            [[float(entry.real), float(entry.imag)] for entry in row]
-            for row in rho.matrix
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The state document, one matrix row per line.
+
+    Each row goes through the C JSON encoder on its own, so only one row of
+    Python floats exists at a time; the floats print as their ``repr``, so
+    every entry reads back bit-identically.
+    """
+    m = np.ascontiguousarray(rho.matrix)
+    pairs = m.view(np.float64).reshape(m.shape + (2,))  # [re, im] of each entry
+    body = ",\n    ".join(json.dumps(row.tolist()) for row in pairs)
+    return (
+        f'{{\n  "dims": {json.dumps(list(rho.party_dims))},\n'
+        f'  "matrix": [\n    {body}\n  ]\n}}\n'
+    )
 
 
 def save_state(rho: DensityMatrix, path) -> None:
@@ -95,6 +101,17 @@ class PauliTable:
             raise ValueError(
                 f"{self.n_qubits}-qubit labels exceed the dimension cap {MAX_DIMENSION}"
             )
+        if not _labels_ok(self.values, self.n_qubits) or not _values_ok(self.values):
+            self._check_each()
+        identity = "I" * self.n_qubits
+        if identity in self.values and abs(self.values[identity] - 1.0) > 1e-9:
+            raise StateValidationError(
+                "pauli-identity",
+                f"all-identity label must be 1, got {self.values[identity]}",
+            )
+
+    def _check_each(self):
+        # raises for the first bad entry, in table order
         for label, value in self.values.items():
             _check_label(label, self.n_qubits)
             if not math.isfinite(value):
@@ -106,12 +123,23 @@ class PauliTable:
                     "pauli-range",
                     f"expectation for {label} is {value}, outside [-1, 1]",
                 )
-        identity = "I" * self.n_qubits
-        if identity in self.values and abs(self.values[identity] - 1.0) > 1e-9:
-            raise StateValidationError(
-                "pauli-identity",
-                f"all-identity label must be 1, got {self.values[identity]}",
-            )
+
+
+def _labels_ok(labels, n_qubits: int) -> bool:
+    # all of _check_label at once for strings
+    try:
+        return set(map(len, labels)) <= {n_qubits} and set("".join(labels)) <= set("IXYZ")
+    except TypeError:
+        return False
+
+
+def _values_ok(values: dict) -> bool:
+    # the finite and range checks of PauliTable at once
+    try:
+        v = values.values()
+        return all(map(math.isfinite, v)) and max(map(abs, v), default=0.0) <= 1.0 + 1e-9
+    except (TypeError, OverflowError):
+        return False
 
 
 def _check_label(label: str, n_qubits: int) -> None:
@@ -125,20 +153,27 @@ def load_pauli_table(path) -> PauliTable:
     """Read a ``label,value`` CSV file (header row required)."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = [row for row in reader if "".join(row).strip()]
     if len(rows) < 2:
         raise ParseError(f"{path}: empty table, need a 'label,value' header and data")
     header = [cell.strip().lower() for cell in rows[0]]
     if header[:2] != ["label", "value"]:
         raise ParseError(f"{path}: first row must be the header 'label,value'")
+    body = rows[1:]
+    labels = [row[0].strip().upper() for row in body]
+    n_qubits = len(labels[0])
+    try:
+        values = dict(zip(labels, [float(row[1]) for row in body]))
+    except (IndexError, ValueError):
+        values = {}
+    if len(values) == len(labels) and _labels_ok(labels, n_qubits):
+        return PauliTable(n_qubits, values)
+    # something is wrong: the row loop raises for the first bad row
     values = {}
-    n_qubits = None
-    for row in rows[1:]:
+    for row in body:
         if len(row) < 2:
             raise ParseError(f"{path}: row {row!r} does not have two columns")
         label = row[0].strip().upper()
-        if n_qubits is None:
-            n_qubits = len(label)
         _check_label(label, n_qubits)
         if label in values:
             raise ParseError(f"{path}: duplicate label {label}")
@@ -157,15 +192,19 @@ def save_pauli_table(table: PauliTable, path) -> None:
             writer.writerow([label, f"{table.values[label]:.17g}"])
 
 
-def _label(index) -> str:
-    return "".join("IXYZ"[i] for i in index)
+def _labels(n_qubits: int):
+    """Every n-qubit Pauli label, in the C order of the coefficient tensor.
+
+    Made one at a time, so no list of 4^n strings is held.
+    """
+    return map("".join, itertools.product("IXYZ", repeat=n_qubits))
 
 
 def pauli_table_from_decomposition(dec: BlochDecomposition) -> PauliTable:
     """Full table of every Pauli expectation encoded by a decomposition."""
     n = dec.n_qubits
     c = 2.0 ** (n / 2.0) * dec.coefficients.tensor
-    values = {_label(index): float(c[index]) for index in np.ndindex(c.shape)}
+    values = dict(zip(_labels(n), c.ravel().tolist()))
     values["I" * n] = 1.0
     return PauliTable(n, values)
 
@@ -180,18 +219,14 @@ def ingest_pauli_table(table: PauliTable, strict: bool = False) -> BlochDecompos
     """
     n = table.n_qubits
     values = {**table.values, "I" * n: 1.0}
-    c = np.zeros((4,) * n)
-    missing = []
-    for index in np.ndindex(c.shape):
-        label = _label(index)
-        if label in values:
-            c[index] = values[label]
-        else:
-            missing.append(label)
-    if missing:
+    try:
+        c = np.fromiter(map(values.__getitem__, _labels(n)), float, 4**n)
+    except KeyError:
+        missing = [label for label in _labels(n) if label not in values]
         raise StateValidationError(
             "missing-labels", f"table is missing Pauli labels: {sorted(missing)}"
-        )
+        ) from None
+    c = c.reshape((4,) * n)
     dec = BlochDecomposition(CoefficientTensor((2,) * n, 2.0 ** (-n / 2.0) * c))
     rho = reconstruct_state(dec)
     try:

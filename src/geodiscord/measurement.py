@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveBasis:
     """Orthonormal measurement basis for one party.
 

@@ -36,7 +36,7 @@ __all__ = [
 CHAIN_AXIS_PREFERENCE = (2, 1, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainStep:
     """One measurement of the chain.
 
@@ -59,7 +59,7 @@ class ChainStep:
         return CoefficientTensor((2,) * t.ndim, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TotalCorrelationReport:
     q_value: float
     order: tuple

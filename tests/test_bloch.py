@@ -117,6 +117,33 @@ class TestCoefficientTensor:
                 assert_allclose(back.matrix, rho.matrix, rtol=0, atol=1e-13)
 
 
+    @staticmethod
+    def coefficients_by_contraction(rho, bases):
+        # complex tensordot per party: axes (rows m.., cols m.., indices ..m)
+        dims = rho.party_dims
+        n = len(dims)
+        cur = rho.matrix.reshape(dims + dims)
+        for m in range(n):
+            cur = np.tensordot(cur, bases[m].elements, axes=([0, n - m], [2, 1]))
+        return cur.real
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2), (2,) * 5, (2,) * 8, (2, 2, 3, 2), (3, 2, 2, 2, 2)]
+    )
+    def test_real_products_match_complex_contraction(self, dims):
+        # odd N, N = 8 (every sign class m mod 4 of the imaginary factors)
+        # and mixed dims, with the default and with a rotated custom basis
+        default = [hermitian_basis(d) for d in dims]
+        rotated = [self.rotated_basis(d, seed=70 + d) for d in dims]
+        for seed, rank in ((52, None), (53, 1)):
+            rho = random_density(dims, rank=rank, seed=seed)
+            for bases in (None, rotated):
+                c = coefficient_tensor(rho, bases=bases)
+                expected = self.coefficients_by_contraction(rho, bases or default)
+                assert c.tensor.flags.c_contiguous
+                assert_allclose(c.tensor, expected, rtol=0, atol=1e-14)
+
+
 class TestBlochDecompose:
     def test_ghz_components(self):
         dec = bloch_decompose(ghz())

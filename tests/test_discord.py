@@ -20,6 +20,7 @@ from geodiscord import (
     permute_parties,
     validate_isometry,
 )
+from geodiscord.discord import _gram
 from geodiscord.measurement import ProjectiveBasis
 from geodiscord.oracle import GridSpec
 from geodiscord.states import bell, ghz, maximally_mixed, random_density, w_state
@@ -391,3 +392,40 @@ class TestInvariantProperties:
             dec = bloch_decompose(rho)
             values = [discord_closed_form(dec, k).value for k in (1, 2, 3)]
             assert max(values) - min(values) < 1e-10
+
+
+class TestFullGram:
+    @staticmethod
+    def unfolding_gram(tensor, part):
+        m = np.moveaxis(tensor, part - 1, 0).reshape(tensor.shape[part - 1], -1)
+        return m @ m.T
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(2,) * n for n in range(2, 8)] + [(3, 3), (2, 3), (4, 2), (2, 2, 3)],
+    )
+    def test_matches_explicit_unfolding(self, dims):
+        # at N = 6 parts 1-3 take the stacked products and 4-6 the W^t W blocks
+        for rank in (None, 1):
+            c = coefficient_tensor(random_density(dims, rank=rank, seed=80)).tensor
+            norm = float(np.vdot(c, c))
+            for part in range(1, len(dims) + 1):
+                g = _gram(c, part)
+                assert_allclose(g, self.unfolding_gram(c, part), rtol=0, atol=1e-13 * norm)
+                assert abs(np.trace(g) - norm) < 1e-13 * norm
+
+    def test_norm_c_sq_is_the_tensor_norm(self):
+        for n in (2, 5, 7):
+            for rank in (None, 1):
+                rho = random_density((2,) * n, rank=rank, seed=81)
+                dec = bloch_decompose(rho)
+                norm = dec.coefficients.norm_sq()
+                for part in range(1, n + 1):
+                    report = discord_closed_form(dec, part)
+                    assert abs(report.norm_c_sq - norm) < 1e-13 * norm
+
+    def test_part_out_of_range(self):
+        c = coefficient_tensor(random_density((2, 3), seed=82)).tensor
+        for part in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                _gram(c, part)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,7 @@ from geodiscord import (
     sweep_family,
     write_sweep_csv,
 )
+from geodiscord.formats import dumps_state
 from geodiscord.states import bell, ghz, random_density
 
 
@@ -94,6 +97,21 @@ class TestStateFiles:
         path.write_text('{"dims": ' + dims + ', "matrix": [[[1, 0]]]}', encoding="utf-8")
         with pytest.raises(ParseError, match="dims"):
             load_state(path)
+
+
+    def test_state_document_has_one_row_per_line(self, tmp_path):
+        rho = random_density((2, 3), seed=9)
+        text = dumps_state(rho)
+        lines = text.splitlines()
+        assert len(lines) == 6 + 5  # braces, dims, "matrix": [, rows, ]
+        payload = json.loads(text)
+        assert payload["dims"] == [2, 3]
+        entries = np.array(payload["matrix"])
+        assert np.array_equal(entries[..., 0], rho.matrix.real)
+        assert np.array_equal(entries[..., 1], rho.matrix.imag)
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        assert np.array_equal(load_state(path).matrix, rho.matrix)
 
 
 class TestPauliTableFiles:

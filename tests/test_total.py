@@ -182,3 +182,17 @@ class TestChainErrors:
             total_quantum_correlations(dec, order=(1, 1))
         with pytest.raises(ValueError, match="permutation"):
             total_quantum_correlations(dec, order=(1, 2, 3))
+
+
+def test_reports_compare_by_identity():
+    # dataclasses holding arrays compare as objects, never element-wise
+    dec = bloch_decompose(ghz())
+    first, second = total_quantum_correlations(dec), total_quantum_correlations(dec)
+    assert (first == second) is False
+    assert (first == first) is True
+    assert (first.steps[0] == second.steps[0]) is False
+    assert (first.steps[0].isometry == second.steps[0].isometry) is False
+    one, two = discord_closed_form(dec, 1), discord_closed_form(dec, 1)
+    assert (one == two) is False
+    assert (one != two) is True
+    assert (dec.coefficients == coefficient_tensor(ghz())) is False
