@@ -14,159 +14,28 @@ Parties are labelled 1..N throughout.  See the README for the file formats
 and the command-line interface.
 """
 
-from .bloch import (
-    BlochDecomposition,
-    CoefficientTensor,
-    HermitianBasis,
-    bloch_decompose,
-    coefficient_tensor,
-    coefficients_from_decomposition,
-    decomposition_from_coefficients,
-    hermitian_basis,
-    norm_identity_residual,
-    norm_sq_from_decomposition,
-    qubit_basis,
-    reconstruct_state,
-    state_from_coefficients,
-)
-from .discord import (
-    DiscordReport,
-    Isometry,
-    correlation_gram,
-    discord_closed_form,
-    discord_from_isometry,
-    discord_two_qubit,
-    discord_upper_bound,
-    isometry_from_axis,
-    validate_isometry,
-)
-from .formats import (
-    ParseError,
-    PauliTable,
-    dumps_state,
-    ingest_pauli_table,
-    load_pauli_table,
-    load_state,
-    pauli_table_from_decomposition,
-    save_pauli_table,
-    save_state,
-)
-from .measurement import (
-    ProjectiveBasis,
-    apply_projective_measurement,
-    basis_from_isometry,
-    classical_quantum_state,
-    coefficients_after_measurement,
-    qubit_basis_along,
-)
-from .oracle import (
-    BruteForceResult,
-    CrossCheckReport,
-    GridSpec,
-    brute_force_discord,
-    brute_force_quadratic_max,
-    cross_check_discord,
-)
-from .states import (
-    FAMILIES,
-    FamilySpec,
-    bell,
-    family_state,
-    ghz,
-    ghz_minus,
-    maximally_mixed,
-    named_state,
-    random_density,
-    w_state,
-)
-from .sweep import SweepRow, find_branch_crossings, sweep_family, write_sweep_csv
-from .tensor_ops import (
-    DensityMatrix,
-    StateValidationError,
-    Sym3,
-    frobenius_norm_sq,
-    n_mode_product,
-    partial_trace,
-    permute_parties,
-    sym3_top_eigen,
-)
-from .total import (
-    ChainStep,
-    TotalCorrelationReport,
-    total_quantum_correlations,
-    two_qubit_total_correlations,
-)
+from . import bloch, discord, formats, measurement, oracle, states, sweep, tensor_ops, total
+from .bloch import *
+from .discord import *
+from .formats import *
+from .measurement import *
+from .oracle import *
+from .states import *
+from .sweep import *
+from .tensor_ops import *
+from .total import *
 
-__all__ = [
-    "BlochDecomposition",
-    "BruteForceResult",
-    "ChainStep",
-    "CoefficientTensor",
-    "CrossCheckReport",
-    "DensityMatrix",
-    "DiscordReport",
-    "FAMILIES",
-    "FamilySpec",
-    "GridSpec",
-    "HermitianBasis",
-    "Isometry",
-    "ParseError",
-    "PauliTable",
-    "ProjectiveBasis",
-    "StateValidationError",
-    "SweepRow",
-    "Sym3",
-    "TotalCorrelationReport",
-    "apply_projective_measurement",
-    "basis_from_isometry",
-    "bell",
-    "bloch_decompose",
-    "brute_force_discord",
-    "brute_force_quadratic_max",
-    "classical_quantum_state",
-    "coefficient_tensor",
-    "coefficients_after_measurement",
-    "coefficients_from_decomposition",
-    "correlation_gram",
-    "cross_check_discord",
-    "decomposition_from_coefficients",
-    "discord_closed_form",
-    "discord_from_isometry",
-    "discord_two_qubit",
-    "discord_upper_bound",
-    "dumps_state",
-    "family_state",
-    "find_branch_crossings",
-    "frobenius_norm_sq",
-    "ghz",
-    "ghz_minus",
-    "hermitian_basis",
-    "ingest_pauli_table",
-    "isometry_from_axis",
-    "load_pauli_table",
-    "load_state",
-    "maximally_mixed",
-    "n_mode_product",
-    "named_state",
-    "norm_identity_residual",
-    "norm_sq_from_decomposition",
-    "partial_trace",
-    "pauli_table_from_decomposition",
-    "permute_parties",
-    "qubit_basis",
-    "qubit_basis_along",
-    "random_density",
-    "reconstruct_state",
-    "save_pauli_table",
-    "save_state",
-    "state_from_coefficients",
-    "sweep_family",
-    "sym3_top_eigen",
-    "total_quantum_correlations",
-    "two_qubit_total_correlations",
-    "validate_isometry",
-    "w_state",
-    "write_sweep_csv",
-]
+# each public name is declared once, in its own module's __all__
+__all__ = sorted(
+    bloch.__all__
+    + discord.__all__
+    + formats.__all__
+    + measurement.__all__
+    + oracle.__all__
+    + states.__all__
+    + sweep.__all__
+    + tensor_ops.__all__
+    + total.__all__
+)
 
 __version__ = "0.1.0"

@@ -23,9 +23,6 @@ import numpy as np
 from .tensor_ops import DensityMatrix, frobenius_norm_sq
 
 __all__ = [
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "HermitianBasis",
     "CoefficientTensor",
     "BlochDecomposition",
@@ -39,13 +36,7 @@ __all__ = [
     "reconstruct_state",
     "norm_sq_from_decomposition",
     "norm_identity_residual",
-    "qubit_subsets",
 ]
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 @dataclass(frozen=True, eq=False)

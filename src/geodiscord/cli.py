@@ -195,10 +195,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ParseError, OSError) as exc:  # ahead of ValueError, its base
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (StateValidationError, ValueError) as exc:

@@ -249,8 +249,9 @@ def discord_upper_bound(
     positive semidefinite; no step lowers the value.  A fixed point is
     exactly a zero of the Riemannian gradient Z U^+ - U Z^+.
 
-    The result is the best value found, an upper bound on the true discord
-    and not a certificate: for parties of dimension 3 or more the ascent can
+    The result comes from the lowest-numbered restart within 1e-12 ||C||^2
+    of the best kept norm.  It is an upper bound on the true discord and
+    not a certificate: for parties of dimension 3 or more the ascent can
     stop at a local maximum.  A qubit party needs no ascent: whatever the
     dimensions of the others, the closed form and its optimal axis are
     exact, and they are returned without drawing any restart.
@@ -264,7 +265,7 @@ def discord_upper_bound(
     basis = hermitian_basis(dim).elements
     flat_basis = basis.reshape(dim * dim, -1)
 
-    best = (-np.inf, None)
+    found = []
     for restart in range(max(1, restarts)):
         gauss = np.random.default_rng([seed, restart]).standard_normal((2, dim, dim))
         u = np.linalg.qr(gauss[0] + 1j * gauss[1])[0]
@@ -279,5 +280,9 @@ def discord_upper_bound(
             previous, value = value, float(np.vdot(rows @ g, rows))
             if value - previous < 1e-15 * norm_c:
                 break
-        best = max(best, (value, rows), key=lambda pair: pair[0])
-    return _clamp(norm_c - best[0]), Isometry(dim, best[1])
+        found.append((value, rows))
+    # restarts at one optimum end about 1e-14 ||C||^2 apart, so an exact
+    # comparison would let rounding choose the returned row order
+    top = max(value for value, _ in found)
+    value, rows = next(pair for pair in found if pair[0] >= top - 1e-12 * norm_c)
+    return _clamp(norm_c - value), Isometry(dim, rows)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from geodiscord import (
+    CoefficientTensor,
     DensityMatrix,
     FamilySpec,
     Isometry,
@@ -339,6 +340,16 @@ class TestUpperBound:
         c = coefficient_tensor(random_density((3, 2), rank=1, seed=202))
         bound, _ = discord_upper_bound(c, 1, restarts=4, seed=0)
         assert abs(bound - 0.0717389844) < 1e-9
+
+    def test_rounding_of_c_keeps_the_returned_rows(self):
+        # restarts that reach one optimum end about 1e-14 ||C||^2 apart; an
+        # exact comparison let a 1e-15 rescaling of C permute the rows
+        c = coefficient_tensor(random_density((3, 3), seed=5))
+        _, iso = discord_upper_bound(c, 1, restarts=4, seed=0)
+        for factor in (1 + 1e-15, 1 - 1e-15, 1 + 3e-15):
+            scaled = CoefficientTensor(c.party_dims, c.tensor * factor)
+            _, moved = discord_upper_bound(scaled, 1, restarts=4, seed=0)
+            assert np.abs(moved.matrix - iso.matrix).max() < 1e-5, factor
 
 
 class TestInvariantProperties:

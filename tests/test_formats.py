@@ -186,6 +186,32 @@ class TestPauliTableFiles:
         with pytest.raises(ParseError):
             load_pauli_table(path)
 
+    def test_one_column_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("label,value\nXX,0.5\nYY\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="does not have two columns"):
+            load_pauli_table(path)
+
+    def test_bad_label_character(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("label,value\nXX,0.5\nXQ,0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="bad Pauli label"):
+            load_pauli_table(path)
+
+    def test_nan_value_in_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("label,value\nXX,0.5\nYY,nan\n", encoding="utf-8")
+        with pytest.raises(StateValidationError) as err:
+            load_pauli_table(path)
+        assert err.value.check == "pauli-finite"
+
+    def test_first_of_two_bad_entries_is_reported(self):
+        with pytest.raises(StateValidationError) as err:
+            PauliTable(2, {"XX": 1.5, "XQ": 0.5})
+        assert err.value.check == "pauli-range"
+        with pytest.raises(ParseError, match="'XQ'"):
+            PauliTable(2, {"XQ": 0.5, "XX": 1.5})
+
 
 def bell_table():
     values = {}
