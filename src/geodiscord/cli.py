@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error (bad state, bad arguments),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -190,9 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; the handlers look up what they call at call time
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:  # ahead of ValueError, its base

@@ -9,7 +9,7 @@ import numpy as np
 from .bloch import bloch_decompose
 from .discord import correlation_gram, discord_closed_form
 from .states import FamilySpec, family_state
-from .tensor_ops import sym3_top_eigen
+from .tensor_ops import _top_eigenspace
 from .total import total_quantum_correlations
 
 __all__ = ["SweepRow", "sweep_family", "write_sweep_csv", "find_branch_crossings"]
@@ -56,10 +56,15 @@ def write_sweep_csv(rows, path, parts=None) -> None:
             handle.write(",".join(cells) + "\n")
 
 
-def _top_axis(family, part, p):
+def _top_space(family, part, p):
     dec = bloch_decompose(family_state(FamilySpec(family, float(p))))
-    _, axis = sym3_top_eigen(correlation_gram(dec, part))
-    return axis
+    return _top_eigenspace(correlation_gram(dec, part))[1]
+
+
+def _nested(space_a, space_b) -> bool:
+    # one space lies within 60 degrees of the other: every principal angle
+    # between them, as many as the smaller dimension, has cosine above 1/2
+    return bool(np.linalg.svd(space_a.T @ space_b, compute_uv=False).min() > 0.5)
 
 
 def find_branch_crossings(
@@ -73,22 +78,31 @@ def find_branch_crossings(
     """Parameters where the top eigenvalue of the party's Gram matrix
     switches eigenvector branch.
 
-    Detected as a discontinuity of the (deterministically tie-broken) top
-    eigenvector along the parameter grid, then localized by bisection.
-    Plateau degeneracies resolve to a constant vector, so only genuine
-    branch switches register.
+    The top eigenspace (every eigenvalue tied with the largest, as in
+    ``sym3_top_eigen``) is taken at each point of the parameter grid.  A
+    grid point whose space has a larger dimension than that of every grid
+    neighbour is an isolated tie, such as a crossing that falls on the grid
+    or G = 2I at both ends of ghz-ghzminus, and is skipped.  Between the
+    remaining consecutive points a switch is counted only when neither
+    space contains the other, and it is localized by bisection with the
+    same containment test, so a tie is never reported as a crossing.
     """
     ps = np.linspace(lo, hi, scan_steps)
-    axes = [_top_axis(family, part, p) for p in ps]
+    spaces = [_top_space(family, part, p) for p in ps]
+    sizes = [space.shape[1] for space in spaces]
+    kept = [
+        i
+        for i in range(len(ps))
+        if not all(sizes[i] > sizes[j] for j in (i - 1, i + 1) if 0 <= j < len(ps))
+    ]
     crossings = []
-    for i in range(len(ps) - 1):
-        if abs(float(np.dot(axes[i], axes[i + 1]))) > 0.5:
+    for i, j in zip(kept, kept[1:]):
+        if _nested(spaces[i], spaces[j]):
             continue
-        a, b = float(ps[i]), float(ps[i + 1])
-        left = axes[i]
+        a, b = float(ps[i]), float(ps[j])
         while b - a > tol:
             mid = (a + b) / 2.0
-            if abs(float(np.dot(_top_axis(family, part, mid), left))) > 0.5:
+            if _nested(spaces[i], _top_space(family, part, mid)):
                 a = mid
             else:
                 b = mid

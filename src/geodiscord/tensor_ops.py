@@ -208,6 +208,15 @@ class Sym3:
         )
 
 
+def _top_eigenspace(g) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of ``g`` and orthonormal columns spanning every
+    eigenvector within 1e-12 times the largest eigenvalue magnitude of it."""
+    m = g.as_matrix() if isinstance(g, Sym3) else np.asarray(g, dtype=float)
+    evals, evecs = np.linalg.eigh(m)
+    eta = float(evals[-1])
+    return eta, evecs[:, evals >= eta - 1e-12 * np.abs(evals).max()]
+
+
 def sym3_top_eigen(g, *, prefer_axes=(0, 1, 2)) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of ``g`` with a deterministic unit eigenvector.
 
@@ -219,10 +228,7 @@ def sym3_top_eigen(g, *, prefer_axes=(0, 1, 2)) -> tuple[float, np.ndarray]:
     default preference (x, y, z) makes the fully degenerate case return
     (1, 0, 0).
     """
-    m = g.as_matrix() if isinstance(g, Sym3) else np.asarray(g, dtype=float)
-    evals, evecs = np.linalg.eigh(m)
-    eta = float(evals[-1])
-    cols = evecs[:, evals >= eta - 1e-12 * np.abs(evals).max()]
+    eta, cols = _top_eigenspace(g)
     vec = None
     for axis in prefer_axes:
         proj = cols @ cols[axis, :]

@@ -1,6 +1,6 @@
 import json
 
-from geodiscord.cli import main
+from geodiscord.cli import _parser, main
 from geodiscord.formats import save_state
 from geodiscord.states import random_density
 
@@ -9,6 +9,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        state = tmp_path / "w.json"
+        code, _, _ = run(capsys, "gen", "--name", "w(3)", "--out", str(state))
+        assert code == 0
+        parser = _parser()
+        code, out, _ = run(capsys, "total", "--state", str(state), "--json")
+        assert code == 0
+        assert json.loads(out)["order"] == [1, 2, 3]
+        assert _parser() is parser
 
 
 class TestGenAndDiscord:

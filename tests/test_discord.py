@@ -31,6 +31,54 @@ from helpers import haar_unitary, kron_all
 SMALL_GRID = GridSpec(61, 120, 2)
 
 
+# discord_upper_bound(coefficient_tensor(random_density(dims, seed=seed)), 1,
+# restarts=4) as returned by the polar-step ascent before extrapolation was
+# added, rows to 7 decimals
+PINNED_UPPER_BOUNDS = [
+    (
+        (3, 3),
+        5,
+        0.03632862398497974,
+        [
+            [0.5773503, -0.0363095, 0.0171605, -0.0473043, -0.0542336, 0.1632962, 0.5770845, -0.164935, -0.522474],
+            [0.5773503, -0.5805959, -0.0098506, 0.1056407, 0.3392977, -0.125347, -0.379769, -0.0687529, 0.1962951],
+            [0.5773503, 0.6169054, -0.0073098, -0.0583364, -0.2850641, -0.0379492, -0.1973155, 0.2336879, 0.3261789],
+        ],
+    ),
+    (
+        (4, 2),
+        0,
+        0.043227286835199163,
+        [
+            [0.5, 0.1408716, 0.2408028, 0.1018126, -0.3465559, 0.2275607, -0.4894967, -0.1002369, -0.1063686, -0.1244679, -0.1794938, 0.2796495, 0.0420991, 0.2882854, 0.1223644, -0.0564071],
+            [0.5, 0.1216859, -0.2512975, 0.1731439, 0.0599014, -0.0113727, 0.0183121, 0.0714486, 0.603309, -0.0710871, -0.0074773, -0.0103583, 0.0457455, -0.4208213, 0.0614154, 0.2841693],
+            [0.5, 0.0236256, -0.1244174, -0.2343301, -0.0037252, 0.1705033, 0.0937903, -0.0621114, -0.3580547, -0.0935568, 0.286875, -0.4934842, -0.261325, -0.0573499, -0.3080085, -0.0899048],
+            [0.5, -0.2861831, 0.134912, -0.0406264, 0.2903798, -0.3866913, 0.3773944, 0.0908998, -0.1388857, 0.2891118, -0.0999039, 0.224193, 0.1734804, 0.1898858, 0.1242287, -0.1378574],
+        ],
+    ),
+    (
+        (3, 2, 2),
+        1,
+        0.04224539181997905,
+        [
+            [0.5773503, 0.091834, 0.5111711, 0.4620359, 0.0775828, 0.1012308, -0.2824675, 0.2391396, 0.1738323],
+            [0.5773503, -0.0267816, -0.524043, 0.1171733, 0.094204, -0.203825, 0.2285763, -0.4056339, 0.3322556],
+            [0.5773503, -0.0650524, 0.0128719, -0.5792092, -0.1717868, 0.1025942, 0.0538912, 0.1664943, -0.5060879],
+        ],
+    ),
+    (
+        (3, 3, 3),
+        2,
+        0.020967363375694742,
+        [
+            [0.5773503, 0.3245673, 0.1476743, 0.4929032, 0.1101201, 0.1678048, -0.0352742, 0.4646081, 0.1979181],
+            [0.5773503, 0.1096584, -0.1922278, -0.40558, 0.068821, -0.3273723, -0.3994928, -0.050795, -0.4232156],
+            [0.5773503, -0.4342257, 0.0445535, -0.0873232, -0.1789411, 0.1595675, 0.4347669, -0.4138131, 0.2252975],
+        ],
+    ),
+]
+
+
 class TestCorrelationGram:
     def test_ghz_is_twice_identity(self):
         g = correlation_gram(bloch_decompose(ghz()), 1)
@@ -340,6 +388,14 @@ class TestUpperBound:
         c = coefficient_tensor(random_density((3, 2), rank=1, seed=202))
         bound, _ = discord_upper_bound(c, 1, restarts=4, seed=0)
         assert abs(bound - 0.0717389844) < 1e-9
+
+    @pytest.mark.parametrize("dims, seed, value, rows", PINNED_UPPER_BOUNDS)
+    def test_pinned_values_and_rows(self, dims, seed, value, rows):
+        c = coefficient_tensor(random_density(dims, seed=seed))
+        bound, iso = discord_upper_bound(c, 1, restarts=4)
+        assert abs(bound - value) <= 1e-12 * c.norm_sq()
+        assert np.abs(iso.matrix - np.array(rows)).max() < 1e-5
+        assert abs(discord_from_isometry(c, iso, 1) - bound) < 1e-12
 
     def test_rounding_of_c_keeps_the_returned_rows(self):
         # restarts that reach one optimum end about 1e-14 ||C||^2 apart; an

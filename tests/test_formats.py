@@ -323,3 +323,14 @@ class TestBranchCrossing:
 
     def test_ghz_noise_has_no_crossing(self):
         assert find_branch_crossings("ghz-noise", part=1, scan_steps=51) == []
+
+    @pytest.mark.parametrize("part", [1, 2])
+    def test_ghz_ghzminus_endpoint_ties_are_not_crossings(self, part):
+        # G = 2I at p = 0 and 1, and z is the strict top axis in between
+        assert find_branch_crossings("ghz-ghzminus", part) == []
+
+    def test_w_ghz_crossing_between_grid_points(self):
+        # 0.75 is not a point of a 100-step grid on [0, 1]
+        crossings = find_branch_crossings("w-ghz", part=1, scan_steps=100)
+        assert len(crossings) == 1
+        assert abs(crossings[0] - 0.75) < 1e-6
