@@ -259,35 +259,36 @@ def state_from_coefficients(
     return DensityMatrix(matrix, dims, validate=validate)
 
 
-@dataclass(frozen=True)
-class BlochDecomposition:
-    """Coherent vectors and correlation tensors of an N-qubit state, as a
-    view of its coefficient tensor C.
+@dataclass(frozen=True, eq=False)
+class BlochDecomposition(CoefficientTensor):
+    """Coefficient tensor C of an N-qubit state, with its Bloch views.
 
-    Only C is stored.  ``s`` maps each party k to its coherent 3-vector;
-    ``t`` maps each party subset (sorted tuple, size >= 2) to the tensor of
-    Pauli expectations with one axis per party in subset order.  Both are
-    built from C on every access: each component is 2^(N/2) times the slice
-    of C with indices 1..3 on its parties and 0 on every other party.
+    ``s`` maps each party k to its coherent 3-vector; ``t`` maps each party
+    subset (sorted tuple, size >= 2) to the tensor of Pauli expectations
+    with one axis per party in subset order.  Both are built from C on
+    every access: each component is 2^(N/2) times the slice of C with
+    indices 1..3 on its parties and 0 on every other party.
     """
 
-    coefficients: CoefficientTensor
-
     def __post_init__(self):
-        if any(d != 2 for d in self.coefficients.party_dims):
+        super().__post_init__()
+        if any(d != 2 for d in self.party_dims):
             raise ValueError(
-                "operation requires qubit parties, got dimensions "
-                f"{self.coefficients.party_dims}"
+                f"operation requires qubit parties, got dimensions {self.party_dims}"
             )
 
     @property
+    def coefficients(self) -> CoefficientTensor:
+        return self
+
+    @property
     def n_qubits(self) -> int:
-        return self.coefficients.n_parties
+        return self.n_parties
 
     def _component(self, parties) -> np.ndarray:
         n = self.n_qubits
         sl = tuple(slice(1, 4) if m + 1 in parties else 0 for m in range(n))
-        return 2.0 ** (n / 2.0) * self.coefficients.tensor[sl]
+        return 2.0 ** (n / 2.0) * self.tensor[sl]
 
     @property
     def s(self) -> dict:
@@ -306,18 +307,18 @@ def qubit_subsets(n_qubits: int, min_size: int = 2):
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
-    """Coherent vectors s(k) and correlation tensors T(S) of a qubit state."""
-    return BlochDecomposition(coefficient_tensor(rho))
+    """C of a qubit state, with its coherent vectors and correlation tensors."""
+    return decomposition_from_coefficients(coefficient_tensor(rho))
 
 
 def decomposition_from_coefficients(coeffs: CoefficientTensor) -> BlochDecomposition:
-    """Bloch view of a qubit coefficient tensor."""
-    return BlochDecomposition(coeffs)
+    """Bloch view of a qubit coefficient tensor, sharing its array."""
+    return BlochDecomposition(coeffs.party_dims, coeffs.tensor)
 
 
 def coefficients_from_decomposition(dec: BlochDecomposition) -> CoefficientTensor:
-    """Inverse of :func:`decomposition_from_coefficients`."""
-    return dec.coefficients
+    """Inverse of :func:`decomposition_from_coefficients`: the view is C."""
+    return dec
 
 
 def reconstruct_state(dec: BlochDecomposition) -> DensityMatrix:
@@ -327,7 +328,7 @@ def reconstruct_state(dec: BlochDecomposition) -> DensityMatrix:
     a state or a Pauli table; positivity is not checked (run ``.validate()``
     on the result when a physical state is required).
     """
-    return state_from_coefficients(dec.coefficients)
+    return state_from_coefficients(dec)
 
 
 def norm_sq_from_decomposition(dec: BlochDecomposition) -> float:

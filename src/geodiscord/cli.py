@@ -69,6 +69,10 @@ def _cmd_discord(args) -> int:
     part = args.part
     if not 1 <= part <= rho.n_parties:
         raise ValueError(f"--part {part} out of range 1..{rho.n_parties}")
+    if args.oracle:
+        if rho.party_dims[part - 1] != 2:
+            raise ValueError("--oracle requires the measured party to be a qubit")
+        grid = _parse_grid(args.grid) if args.grid else GridSpec()
     if rho.is_qubit_system():
         report = discord_closed_form(bloch_decompose(rho), part)
         payload = _discord_payload(report)
@@ -77,9 +81,6 @@ def _cmd_discord(args) -> int:
         value, _ = discord_upper_bound(coefficient_tensor(rho), part)
         payload = {"part": part, "value": value, "method": "upper-bound"}
     if args.oracle:
-        if rho.party_dims[part - 1] != 2:
-            raise ValueError("--oracle requires the measured party to be a qubit")
-        grid = _parse_grid(args.grid) if args.grid else GridSpec()
         check = cross_check_discord(rho, part, grid)
         payload["oracle"] = {
             "value": check.brute_force,
@@ -111,7 +112,7 @@ def _cmd_sweep(args) -> int:
     write_sweep_csv(rows, args.out)
     if args.json:
         payload = [
-            {"p": r.p, **{f"d{k + 1}": d for k, d in enumerate(r.discords)}, "q": r.q}
+            {"p": r.p, **{f"d{k}": d for k, d in zip(r.parts, r.discords)}, "q": r.q}
             for r in rows
         ]
         print(json.dumps(payload, indent=2))
@@ -128,8 +129,6 @@ def _cmd_ingest(args) -> int:
     notes = [str(w.message) for w in caught]
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
-    if not 1 <= args.part <= dec.n_qubits:
-        raise ValueError(f"--part {args.part} out of range 1..{dec.n_qubits}")
     report = discord_closed_form(dec, args.part)
     payload = _discord_payload(report)
     payload["method"] = "closed-form"

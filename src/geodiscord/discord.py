@@ -2,11 +2,14 @@
 
 The discord of party k is the squared Hilbert-Schmidt distance from the
 state to the nearest state left invariant by some projective measurement on
-party k.  For qubit parties this has a closed form: build the 3x3 Gram
-matrix of all correlations involving party k, take its top eigenvalue, and
+party k.  Every entry point takes the coefficient tensor C of the state.
+A qubit party, whatever the dimensions of the others, has a closed form:
+with eta_max the top eigenvalue of G = 2^N F[1:, 1:], F the Gram of the
+mode-k unfolding of C,
 
-    D_k = 2^-N ( ||s(k)||^2 + sum_{S containing k} ||T(S)||^2 - eta_max ).
+    D_k = 2^-N ( tr G - eta_max ),
 
+and on N qubits tr G = ||s(k)||^2 + sum_{S containing k} ||T(S)||^2.
 The top eigenvector also yields the optimal measurement axis, packaged as a
 2 x 4 row isometry whose rows expand the two optimal rank-1 projectors.
 For parties of higher dimension no closed form is available and a
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, CoefficientTensor, bloch_decompose, hermitian_basis
+from .bloch import CoefficientTensor, bloch_decompose, hermitian_basis
 from .tensor_ops import DensityMatrix, Sym3, frobenius_norm_sq, sym3_top_eigen
 
 __all__ = [
@@ -124,38 +127,40 @@ def _gram(tensor: np.ndarray, part: int) -> np.ndarray:
 
 
 def _closed_form(tensor: np.ndarray, part: int, prefer_axes=(0, 1, 2)):
-    """(D_k, F, eta_max, e_max) of a qubit coefficient tensor.
+    """(D_k, F, eta_max, e_max) of a tensor whose mode ``part`` is a qubit.
 
     F is the 4 x 4 Gram of the mode-``part`` unfolding, so tr F = ||C||^2,
-    and G = 2^N F[1:, 1:] collects s(k) s(k)^t and U^t U for each T(S) with
-    k in S.  tr G is the squared norm of every correlation involving
-    ``part``, so D_k = (tr G - eta_max) / 2^N.
+    and G = 2^N F[1:, 1:].  Measuring along e keeps F[0, 0] + e^t F[1:, 1:] e
+    of tr F, so D_k = (tr G - eta_max) / 2^N.
     """
     full = _gram(tensor, part)
+    if len(full) != 4:
+        raise ValueError(
+            f"party {part} has dimension {math.isqrt(len(full))}; "
+            "the closed form needs a qubit party"
+        )
     g = 2.0**tensor.ndim * full[1:, 1:]
     eta_max, e_max = sym3_top_eigen(g, prefer_axes=prefer_axes)
     return _clamp((float(np.trace(g)) - eta_max) / 2.0**tensor.ndim), full, eta_max, e_max
 
 
-def correlation_gram(dec: BlochDecomposition, part: int) -> Sym3:
-    """3x3 Gram matrix of every correlation tensor involving ``part``.
+def correlation_gram(coeffs: CoefficientTensor, part: int) -> Sym3:
+    """3x3 Gram matrix G of qubit ``part``, the ``g`` of the closed form.
 
-    Each tensor containing the party contributes U^t U with U the tensor
-    flattened over all other parties (party axis last); the coherent vector
-    contributes its outer product.
+    On N qubits each tensor containing the party contributes U^t U with U
+    the tensor flattened over all other parties (party axis last), and the
+    coherent vector contributes its outer product.
     """
-    tensor = dec.coefficients.tensor
-    return Sym3.from_matrix(2.0**tensor.ndim * _gram(tensor, part)[1:, 1:])
+    return discord_closed_form(coeffs, part).g
 
 
-def discord_closed_form(dec: BlochDecomposition, part: int) -> DiscordReport:
-    """Exact discord of a qubit party, with all optimality witnesses."""
-    tensor = dec.coefficients.tensor
-    value, full, eta_max, e_max = _closed_form(tensor, part)
+def discord_closed_form(coeffs: CoefficientTensor, part: int) -> DiscordReport:
+    """Exact discord of a qubit party of any system, with its optimality witnesses."""
+    value, full, eta_max, e_max = _closed_form(coeffs.tensor, part)
     return DiscordReport(
         part=part,
         value=value,
-        g=Sym3.from_matrix(2.0**tensor.ndim * full[1:, 1:]),
+        g=Sym3.from_matrix(2.0**coeffs.n_parties * full[1:, 1:]),
         eta_max=eta_max,
         e_max=e_max,
         a_tilde=isometry_from_axis(e_max),
@@ -255,8 +260,8 @@ def discord_upper_bound(
     exact, and they are returned without drawing any restart.
     """
     if 1 <= part <= coeffs.n_parties and coeffs.party_dims[part - 1] == 2:
-        value, _, _, e_max = _closed_form(coeffs.tensor, part)
-        return value, isometry_from_axis(e_max)
+        report = discord_closed_form(coeffs, part)
+        return report.value, report.a_tilde
     g = _gram(coeffs.tensor, part)
     norm_c = float(np.trace(g))
     dim = math.isqrt(len(g))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, CoefficientTensor, reconstruct_state
+from .bloch import BlochDecomposition, reconstruct_state
 from .tensor_ops import MAX_DIMENSION, DensityMatrix, StateValidationError
 
 __all__ = [
@@ -177,7 +177,7 @@ def _labels(n_qubits: int):
 def pauli_table_from_decomposition(dec: BlochDecomposition) -> PauliTable:
     """Full table of every Pauli expectation encoded by a decomposition."""
     n = dec.n_qubits
-    c = 2.0 ** (n / 2.0) * dec.coefficients.tensor
+    c = 2.0 ** (n / 2.0) * dec.tensor
     values = dict(zip(_labels(n), c.ravel().tolist()))
     values["I" * n] = 1.0
     return PauliTable(n, values)
@@ -201,7 +201,7 @@ def ingest_pauli_table(table: PauliTable, strict: bool = False) -> BlochDecompos
             "missing-labels", f"table is missing Pauli labels: {sorted(missing)}"
         ) from None
     c = c.reshape((4,) * n)
-    dec = BlochDecomposition(CoefficientTensor((2,) * n, 2.0 ** (-n / 2.0) * c))
+    dec = BlochDecomposition((2,) * n, 2.0 ** (-n / 2.0) * c)
     rho = reconstruct_state(dec)
     try:
         rho.validate()

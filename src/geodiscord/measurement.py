@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import CoefficientTensor, HermitianBasis, hermitian_basis
-from .discord import Isometry, validate_isometry
+from .discord import Isometry, isometry_from_axis, validate_isometry
 from .tensor_ops import DensityMatrix, n_mode_product, permute_parties
 
 __all__ = [
@@ -50,18 +50,7 @@ class ProjectiveBasis:
 
 def qubit_basis_along(part: int, axis) -> ProjectiveBasis:
     """Qubit basis with kets along +/- the unit Bloch vector ``axis``."""
-    e = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-10:
-        raise ValueError("axis must be a unit Bloch vector")
-    theta = math.acos(np.clip(e[2], -1.0, 1.0))
-    phi = math.atan2(e[1], e[0])
-    up = np.array(
-        [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)]
-    )
-    down = np.array(
-        [math.sin(theta / 2.0), -np.exp(1j * phi) * math.cos(theta / 2.0)]
-    )
-    return ProjectiveBasis(part, np.stack([up, down]))
+    return basis_from_isometry(isometry_from_axis(axis), part)
 
 
 def _lift(op: np.ndarray, party_dims, part: int) -> np.ndarray:
@@ -96,16 +85,10 @@ def coefficients_after_measurement(
 
     With the optimal isometry of the measured party this is the nearest
     zero-discord state; with any valid isometry it matches applying the
-    corresponding projective measurement directly.
+    corresponding projective measurement directly.  ``n_mode_product``
+    rejects a mode out of range or of another size.
     """
     validate_isometry(iso)
-    if not 1 <= part <= coeffs.n_parties:
-        raise ValueError(f"party {part} out of range 1..{coeffs.n_parties}")
-    if iso.dim**2 != coeffs.tensor.shape[part - 1]:
-        raise ValueError(
-            f"isometry dimension {iso.dim} does not match mode {part} size "
-            f"{coeffs.tensor.shape[part - 1]}"
-        )
     projector = iso.matrix.T @ iso.matrix
     return CoefficientTensor(
         coeffs.party_dims, n_mode_product(coeffs.tensor, projector, part)

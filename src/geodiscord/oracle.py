@@ -34,6 +34,8 @@ _SIGMA = np.array(
 )
 
 _LOCAL_POINTS = 33  # refinement grid is LOCAL_POINTS x LOCAL_POINTS per round
+_MAX_AXES = 1_000_000  # initial grid cap, about 15 times the default grid
+_MAX_ROUNDS = 50  # at the default zoom the window is below rounding after 17
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,10 @@ class GridSpec:
     def __post_init__(self):
         if self.theta_steps < 8 or self.phi_steps < 8:
             raise ValueError("grids need at least 8 steps per angle")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be non-negative")
+        if self.theta_steps * self.phi_steps > _MAX_AXES:
+            raise ValueError(f"grids are capped at {_MAX_AXES} axes (theta x phi)")
+        if not 0 <= self.refinement_rounds <= _MAX_ROUNDS:
+            raise ValueError(f"refinement_rounds must be 0 to the cap of {_MAX_ROUNDS}")
         if self.zoom_factor <= 1.0:
             raise ValueError("zoom_factor must exceed 1")
 
@@ -206,10 +210,10 @@ def cross_check_discord(
     rho: DensityMatrix, part: int, grid: GridSpec | None = None
 ) -> CrossCheckReport:
     """Closed-form discord versus the brute-force search, with their gap."""
-    from .bloch import bloch_decompose
+    from .bloch import coefficient_tensor
     from .discord import discord_closed_form
 
-    closed = discord_closed_form(bloch_decompose(rho), part).value
+    closed = discord_closed_form(coefficient_tensor(rho), part).value
     result = brute_force_discord(rho, part, grid)
     return CrossCheckReport(
         part=part,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import bloch_decompose
+from .bloch import coefficient_tensor
 from .discord import correlation_gram, discord_closed_form
 from .states import FamilySpec, family_state
 from .tensor_ops import _top_eigenspace
@@ -14,18 +14,21 @@ from .total import total_quantum_correlations
 
 __all__ = ["SweepRow", "sweep_family", "write_sweep_csv", "find_branch_crossings"]
 
+_MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class SweepRow:
     p: float
-    discords: tuple  # D_k for the reported parties, in order
+    parts: tuple  # the reported parties
+    discords: tuple  # D_k for each of ``parts``, in order
     q: float
 
 
 def sweep_family(family: str, p_from: float, p_to: float, steps: int, parts=None):
     """Rows of (p, D_k..., Q) on a uniform inclusive grid of the parameter."""
-    if steps < 2:
-        raise ValueError("a sweep needs at least 2 steps")
+    if not 2 <= steps <= _MAX_STEPS:
+        raise ValueError(f"a sweep needs 2 to {_MAX_STEPS} steps, got {steps}")
     probe = family_state(FamilySpec(family, min(max(p_from, 0.0), 1.0)))
     n = probe.n_parties
     if parts is None:
@@ -35,18 +38,16 @@ def sweep_family(family: str, p_from: float, p_to: float, steps: int, parts=None
         raise ValueError(f"parts {parts} outside parties 1..{n}")
     rows = []
     for p in np.linspace(p_from, p_to, steps):
-        dec = bloch_decompose(family_state(FamilySpec(family, float(p))))
-        discords = tuple(discord_closed_form(dec, k).value for k in parts)
-        q = total_quantum_correlations(dec).q_value
-        rows.append(SweepRow(float(p), discords, q))
+        coeffs = coefficient_tensor(family_state(FamilySpec(family, float(p))))
+        discords = tuple(discord_closed_form(coeffs, k).value for k in parts)
+        q = total_quantum_correlations(coeffs).q_value
+        rows.append(SweepRow(float(p), parts, discords, q))
     return rows
 
 
-def write_sweep_csv(rows, path, parts=None) -> None:
-    """CSV with columns p, d<k>..., q at 12 significant digits."""
-    if parts is None:
-        parts = tuple(range(1, len(rows[0].discords) + 1))
-    header = ["p"] + [f"d{k}" for k in parts] + ["q"]
+def write_sweep_csv(rows, path) -> None:
+    """CSV with columns p, d<k> per reported party, q at 12 significant digits."""
+    header = ["p"] + [f"d{k}" for k in rows[0].parts] + ["q"]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
@@ -57,8 +58,8 @@ def write_sweep_csv(rows, path, parts=None) -> None:
 
 
 def _top_space(family, part, p):
-    dec = bloch_decompose(family_state(FamilySpec(family, float(p))))
-    return _top_eigenspace(correlation_gram(dec, part))[1]
+    coeffs = coefficient_tensor(family_state(FamilySpec(family, float(p))))
+    return _top_eigenspace(correlation_gram(coeffs, part))[1]
 
 
 def _nested(space_a, space_b) -> bool:

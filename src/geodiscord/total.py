@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, CoefficientTensor, bloch_decompose
+from .bloch import CoefficientTensor, bloch_decompose
 from .discord import Isometry, _clamp, _closed_form, isometry_from_axis
 from .tensor_ops import DensityMatrix, frobenius_norm_sq, n_mode_product, sym3_top_eigen
 
@@ -67,7 +67,7 @@ class TotalCorrelationReport:
 
 
 def total_quantum_correlations(
-    dec: BlochDecomposition, order=None
+    coeffs: CoefficientTensor, order=None
 ) -> TotalCorrelationReport:
     """Greedy successive-measurement chain over all qubit parties.
 
@@ -78,13 +78,17 @@ def total_quantum_correlations(
     C x A^t A.  Q is the sum of the step values; each step's full-shape
     ``coefficients`` are built only when accessed.
     """
-    n = dec.n_qubits
+    if any(d != 2 for d in coeffs.party_dims):
+        raise ValueError(
+            f"operation requires qubit parties, got dimensions {coeffs.party_dims}"
+        )
+    n = coeffs.n_parties
     if order is None:
         order = tuple(range(1, n + 1))
     order = tuple(int(k) for k in order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"{order} is not a permutation of parties 1..{n}")
-    cur = dec.coefficients.tensor
+    cur = coeffs.tensor
     measured = ()
     steps = []
     for part in order:

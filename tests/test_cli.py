@@ -336,3 +336,42 @@ class TestExitCodes:
             "banana",
         )
         assert code == 2
+
+
+class TestQubitPartyOracle:
+    def test_oracle_on_qubit_party_of_mixed_system(self, tmp_path, capsys):
+        state = tmp_path / "qubit_qutrit.json"
+        save_state(random_density((2, 3), seed=1), state)
+        argv = ["discord", "--state", str(state), "--oracle", "--grid", "41,80,3", "--json"]
+        code, out, _ = run(capsys, *argv, "--part", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["oracle"]["gap"] < 1e-5
+        assert abs(payload["oracle"]["value"] - payload["value"]) < 1e-5
+        code, _, err = run(capsys, *argv, "--part", "2")
+        assert code == 2
+        assert "qubit" in err
+
+
+class TestResourceCaps:
+    # each would allocate gigabytes before the cap; none may leak a traceback
+    def test_oversized_oracle_grid(self, tmp_path, capsys):
+        state = tmp_path / "bell.json"
+        run(capsys, "gen", "--name", "bell", "--out", str(state))
+        for grid in ("200000,200000,0", "41,80,1000000000"):
+            code, _, err = run(
+                capsys, "discord", "--state", str(state), "--part", "1", "--oracle", "--grid", grid
+            )
+            assert code == 2
+            assert "Traceback" not in err
+            assert "cap" in err
+
+    def test_oversized_sweep(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--family", "w-ghz", "--from", "0", "--to", "1",
+            "--steps", "100000000000", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert "100000 steps" in err
+        assert not (tmp_path / "sweep.csv").exists()

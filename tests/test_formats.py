@@ -334,3 +334,13 @@ class TestBranchCrossing:
         crossings = find_branch_crossings("w-ghz", part=1, scan_steps=100)
         assert len(crossings) == 1
         assert abs(crossings[0] - 0.75) < 1e-6
+
+
+def test_sweep_csv_header_names_the_reported_parties(tmp_path):
+    rows = sweep_family("w-ghz", 0.0, 1.0, 3, parts=(2,))
+    assert all(row.parts == (2,) for row in rows)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "p,d2,q"
+    assert float(lines[1].split(",")[1]) == pytest.approx(rows[0].discords[0], abs=1e-12)
