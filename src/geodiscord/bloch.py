@@ -55,6 +55,8 @@ class HermitianBasis:
         gram = np.einsum("iab,jba->ij", e, e)
         if np.abs(gram - np.eye(self.dim**2)).max() > 1e-12:
             raise ValueError("basis elements must be orthonormal under tr(XY)")
+        if np.abs(e[0] - np.eye(self.dim) / math.sqrt(self.dim)).max() > 1e-12:
+            raise ValueError("basis element X[0] must be the identity I/sqrt(d)")
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +208,10 @@ def coefficient_tensor(rho: DensityMatrix, bases=None) -> CoefficientTensor:
     each mode by the real orthogonal Q[i, j] = tr(X[i] E[j]) from the
     default basis E.  The anti-Hermitian part of rho, which validation
     bounds by its Hermiticity tolerance, is not projected out and enters C
-    at that size.
+    at that size.  C does not record its bases: ``discord_upper_bound``,
+    ``discord_from_isometry`` and ``basis_from_isometry`` read it in the
+    default ones, and the qubit closed form's ``e_max`` and ``a_tilde`` (not
+    its value) come out in C's own basis.
     """
     dims = rho.party_dims
     bases = _bases_for(dims, bases)

@@ -61,19 +61,19 @@ class Isometry:
         object.__setattr__(self, "matrix", m)
 
 
-def validate_isometry(iso: Isometry, atol: float = 1e-10) -> Isometry:
-    """Raise ValueError unless ``iso`` satisfies all row/column constraints."""
+def validate_isometry(iso: Isometry) -> Isometry:
+    """Raise ValueError unless ``iso`` meets each row/column constraint to 1e-10."""
     a = iso.matrix
     d = iso.dim
     gram = a @ a.T
-    if np.abs(gram - np.eye(d)).max() > atol:
+    if np.abs(gram - np.eye(d)).max() > 1e-10:
         raise ValueError("isometry rows are not orthonormal (A A^t != I)")
-    if np.abs(a[:, 0] - 1.0 / math.sqrt(d)).max() > atol:
+    if np.abs(a[:, 0] - 1.0 / math.sqrt(d)).max() > 1e-10:
         raise ValueError("isometry rows must have identity component 1/sqrt(d)")
     col_sums = a.sum(axis=0)
     expected = np.zeros(d * d)
     expected[0] = math.sqrt(d)
-    if np.abs(col_sums - expected).max() > atol:
+    if np.abs(col_sums - expected).max() > 1e-10:
         raise ValueError("isometry column sums must equal the basis traces")
     return iso
 
@@ -191,7 +191,7 @@ def discord_from_isometry(
     """||C||^2 - ||C x_part A||^2 for a candidate measurement isometry.
 
     Upper-bounds the discord for any valid isometry and equals it at the
-    optimal one.
+    optimal one.  A and mode ``part`` of C are read in the default basis.
     """
     validate_isometry(iso)
     g = _gram(coeffs.tensor, part)
@@ -257,7 +257,9 @@ def discord_upper_bound(
     not a certificate: for parties of dimension 3 or more the ascent can
     stop at a local maximum.  A qubit party needs no ascent: whatever the
     dimensions of the others, the closed form and its optimal axis are
-    exact, and they are returned without drawing any restart.
+    exact, and they are returned without drawing any restart.  The rows are
+    built in ``hermitian_basis(d)``, so mode ``part`` of C must be in that
+    default basis too; C does not record its basis to check this.
     """
     if 1 <= part <= coeffs.n_parties and coeffs.party_dims[part - 1] == 2:
         report = discord_closed_form(coeffs, part)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .bloch import CoefficientTensor, HermitianBasis, hermitian_basis
 from .discord import Isometry, isometry_from_axis, validate_isometry
-from .tensor_ops import DensityMatrix, n_mode_product, permute_parties
+from .tensor_ops import DensityMatrix, n_mode_product
 
 __all__ = [
     "ProjectiveBasis",
@@ -53,16 +53,14 @@ def qubit_basis_along(part: int, axis) -> ProjectiveBasis:
     return basis_from_isometry(isometry_from_axis(axis), part)
 
 
-def _lift(op: np.ndarray, party_dims, part: int) -> np.ndarray:
-    pre = math.prod(party_dims[: part - 1])
-    post = math.prod(party_dims[part:])
-    return np.kron(np.kron(np.eye(pre), op), np.eye(post))
-
-
 def apply_projective_measurement(
     rho: DensityMatrix, basis: ProjectiveBasis
 ) -> DensityMatrix:
-    """Sum_l P_l rho P_l with P_l the lifted projectors of ``basis``."""
+    """Sum_l P_l rho P_l with P_l = |l><l| acting on the party's own index.
+
+    On the view (pre, d, post pre, d, post) of rho, block ij of the result
+    is sum_l sum_km (P_l)_ik rho_km (P_l)_mj.
+    """
     k = basis.part
     if not 1 <= k <= rho.n_parties:
         raise ValueError(f"party {k} out of range 1..{rho.n_parties}")
@@ -71,11 +69,12 @@ def apply_projective_measurement(
             f"basis dimension {basis.dim} does not match party {k} "
             f"dimension {rho.party_dims[k - 1]}"
         )
-    out = np.zeros_like(rho.matrix)
-    for ket in basis.kets:
-        proj = _lift(np.outer(ket, ket.conj()), rho.party_dims, k)
-        out = out + proj @ rho.matrix @ proj
-    return DensityMatrix(out, rho.party_dims)
+    pre = math.prod(rho.party_dims[: k - 1])
+    post = math.prod(rho.party_dims[k:])
+    view = rho.matrix.reshape(pre, basis.dim, post * pre, basis.dim, post)
+    projs = np.einsum("li,lj->lij", basis.kets, basis.kets.conj())
+    out = np.einsum("lik,akbmc,lmj->aibjc", projs, view, projs, optimize=True)
+    return DensityMatrix(out.reshape(rho.matrix.shape), rho.party_dims)
 
 
 def coefficients_after_measurement(
@@ -102,7 +101,8 @@ def basis_from_isometry(
 
     Each row expands a rank-1 projector sum_i a[l, i] X_i; the ket is its
     unit eigenvector, phase-fixed so the first nonzero amplitude is real
-    positive.
+    positive.  The rows are read in ``basis``, by default
+    ``hermitian_basis(d)``, the basis of every isometry built from C.
     """
     validate_isometry(iso)
     if basis is None:
@@ -142,15 +142,13 @@ def classical_quantum_state(probs, basis: ProjectiveBasis, conditionals) -> Dens
             raise ValueError("conditional states must share the same party dims")
         cond.validate()
     k = basis.part
-    n = len(rest_dims) + 1
-    if k > n:
-        raise ValueError(f"party {k} out of range 1..{n}")
-    side = basis.dim * math.prod(rest_dims)
-    stacked = np.zeros((side, side), dtype=complex)
-    for weight, ket, cond in zip(p, basis.kets, conditionals):
-        stacked += weight * np.kron(np.outer(ket, ket.conj()), cond.matrix)
-    # parties currently ordered (k, 1, .., k-1, k+1, .., N); sort them
-    unsorted = DensityMatrix(stacked, (basis.dim,) + rest_dims, validate=False)
-    order = tuple(range(2, k + 1)) + (1,) + tuple(range(k + 1, n + 1))
-    result = permute_parties(unsorted, order)
-    return DensityMatrix(result.matrix, result.party_dims)
+    if k > len(rest_dims) + 1:
+        raise ValueError(f"party {k} out of range 1..{len(rest_dims) + 1}")
+    pre = math.prod(rest_dims[: k - 1])
+    post = math.prod(rest_dims[k - 1 :])
+    conds = np.stack([c.matrix for c in conditionals]).reshape(-1, pre, post, pre, post)
+    projs = np.einsum("li,lj->lij", basis.kets, basis.kets.conj())
+    # the measured party's index goes between the pre and post indices of rho_l
+    out = np.einsum("l,lij,labcd->aibcjd", p, projs, conds)
+    dims = rest_dims[: k - 1] + (basis.dim,) + rest_dims[k - 1 :]
+    return DensityMatrix(out.reshape(pre * basis.dim * post, -1), dims)

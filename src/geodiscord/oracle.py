@@ -82,42 +82,30 @@ class CrossCheckReport:
 
 
 def _axes_from_angles(theta, phi):
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     return np.stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
         axis=-1,
     )
 
 
-def _lifted_paulis(party_dims, part):
-    pre = math.prod(party_dims[: part - 1])
-    post = math.prod(party_dims[part:])
-    return np.stack(
-        [
-            np.kron(np.kron(np.eye(pre), sigma), np.eye(post))
-            for sigma in _SIGMA
-        ]
-    )
-
-
-def _distances(rho_matrix, lifted, axes):
+def _distances(blocks, axes):
     """||rho - Pi(rho)||^2 for measuring along each axis in ``axes``.
 
     For the projectors P = (I +/- n.sigma)/2 the measured state is
     (rho + S rho S)/2 with S = n.sigma, so the distance is
-    ||rho - S rho S||^2 / 4, evaluated entrywise per axis.
+    ||rho - S rho S||^2 / 4, evaluated entrywise per axis.  S acts on the
+    measured qubit alone: block ij of S rho S is sum_kl s_ik rho_kl s_lj
+    with s = n.sigma the 2x2 matrix, so an axis costs O(D^2).
     """
-    dim = rho_matrix.shape[0]
     out = np.empty(len(axes))
-    chunk = max(1, 2_000_000 // (dim * dim))
+    chunk = max(1, 2_000_000 // blocks.size)
     for start in range(0, len(axes), chunk):
-        block = axes[start : start + chunk]
-        s = np.einsum("na,aij->nij", block, lifted)
-        delta = rho_matrix - s @ rho_matrix @ s
-        out[start : start + len(block)] = 0.25 * (
-            np.abs(delta) ** 2
-        ).sum(axis=(1, 2))
+        batch = axes[start : start + chunk]
+        s = np.einsum("na,aij->nij", batch, _SIGMA)
+        weights = np.einsum("nik,nlj->nijkl", s, s).reshape(-1, 4)
+        delta = (weights @ blocks).reshape(len(batch), 4, -1)
+        delta -= blocks
+        out[start : start + len(batch)] = 0.25 * (np.abs(delta) ** 2).sum(axis=(1, 2))
     return out
 
 
@@ -134,7 +122,7 @@ def _grid_search(evaluate_axes, grid, minimize=True):
     The coarse grid is uniform in cos(theta) and phi; refining in the local
     tangent plane (rather than in the angles) keeps the window isotropic
     even at the poles, where the phi coordinate degenerates.  Returns
-    (value, theta, phi, per-round best values).
+    (value, theta, phi, tuple of per-round best values).
     """
     sign = 1.0 if minimize else -1.0
     thetas = np.arccos(np.linspace(-1.0, 1.0, grid.theta_steps))
@@ -170,7 +158,7 @@ def _grid_search(evaluate_axes, grid, minimize=True):
         width /= grid.zoom_factor
     theta = math.acos(float(np.clip(best_axis[2], -1.0, 1.0)))
     phi = math.atan2(float(best_axis[1]), float(best_axis[0])) % (2.0 * math.pi)
-    return value, theta, phi, history
+    return value, theta, phi, tuple(history)
 
 
 def brute_force_discord(
@@ -185,13 +173,12 @@ def brute_force_discord(
             f"party {part} has dimension {rho.party_dims[part - 1]}, "
             "the measurement search only handles qubits"
         )
-    lifted = _lifted_paulis(rho.party_dims, part)
-
-    def evaluate(axes):
-        return _distances(rho.matrix, lifted, axes)
-
-    value, theta, phi, history = _grid_search(evaluate, grid, minimize=True)
-    return BruteForceResult(value, theta, phi, tuple(history))
+    pre = math.prod(rho.party_dims[: part - 1])
+    post = math.prod(rho.party_dims[part:])
+    # rho_kl, the blocks in the measured qubit's index, one row each (2k + l)
+    view = rho.matrix.reshape(pre, 2, post * pre, 2, post)
+    blocks = view.transpose(1, 3, 0, 2, 4).reshape(4, -1)
+    return BruteForceResult(*_grid_search(lambda axes: _distances(blocks, axes), grid))
 
 
 def brute_force_quadratic_max(g, grid: GridSpec | None = None) -> float:
@@ -202,8 +189,7 @@ def brute_force_quadratic_max(g, grid: GridSpec | None = None) -> float:
     def evaluate(axes):
         return np.einsum("ni,ij,nj->n", axes, m, axes)
 
-    value, _, _, _ = _grid_search(evaluate, grid, minimize=False)
-    return value
+    return _grid_search(evaluate, grid, minimize=False)[0]
 
 
 def cross_check_discord(
@@ -216,10 +202,6 @@ def cross_check_discord(
     closed = discord_closed_form(coefficient_tensor(rho), part).value
     result = brute_force_discord(rho, part, grid)
     return CrossCheckReport(
-        part=part,
-        closed_form=closed,
-        brute_force=result.value,
-        gap=abs(closed - result.value),
-        theta=result.theta,
-        phi=result.phi,
+        part=part, closed_form=closed, brute_force=result.value,
+        gap=abs(closed - result.value), theta=result.theta, phi=result.phi,
     )

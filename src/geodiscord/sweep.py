@@ -71,10 +71,7 @@ def _nested(space_a, space_b) -> bool:
 def find_branch_crossings(
     family: str,
     part: int = 1,
-    lo: float = 0.0,
-    hi: float = 1.0,
     scan_steps: int = 201,
-    tol: float = 1e-9,
 ):
     """Parameters where the top eigenvalue of the party's Gram matrix
     switches eigenvector branch.
@@ -86,9 +83,10 @@ def find_branch_crossings(
     or G = 2I at both ends of ghz-ghzminus, and is skipped.  Between the
     remaining consecutive points a switch is counted only when neither
     space contains the other, and it is localized by bisection with the
-    same containment test, so a tie is never reported as a crossing.
+    same containment test, so a tie is never reported as a crossing.  The
+    scan covers p in [0, 1] and the bisection stops at a width of 1e-9.
     """
-    ps = np.linspace(lo, hi, scan_steps)
+    ps = np.linspace(0.0, 1.0, scan_steps)
     spaces = [_top_space(family, part, p) for p in ps]
     sizes = [space.shape[1] for space in spaces]
     kept = [
@@ -101,7 +99,7 @@ def find_branch_crossings(
         if _nested(spaces[i], spaces[j]):
             continue
         a, b = float(ps[i]), float(ps[j])
-        while b - a > tol:
+        while b - a > 1e-9:
             mid = (a + b) / 2.0
             if _nested(spaces[i], _top_space(family, part, mid)):
                 a = mid

@@ -41,6 +41,12 @@ class TestHermitianBasis:
         assert abs(traces[0] - np.sqrt(3)) < 1e-12
         assert np.abs(traces[1:]).max() < 1e-12
 
+    def test_rejects_identity_away_from_index_zero(self):
+        # orthonormal and Hermitian, but X[0] = sigma_x / sqrt(2)
+        swapped = hermitian_basis(2).elements[[1, 0, 2, 3]]
+        with pytest.raises(ValueError, match="identity"):
+            HermitianBasis(2, swapped)
+
 
 class TestCoefficientTensor:
     def test_maximally_mixed_has_only_identity_entry(self):

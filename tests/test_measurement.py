@@ -13,6 +13,7 @@ from geodiscord import (
     coefficients_after_measurement,
     discord_closed_form,
     isometry_from_axis,
+    permute_parties,
     qubit_basis,
     qubit_basis_along,
     state_from_coefficients,
@@ -258,6 +259,35 @@ class TestClassicalQuantumState:
         bad = DensityMatrix(np.diag([1.5, -0.5]).astype(complex), (2,), validate=False)
         with pytest.raises(ValueError):
             classical_quantum_state([0.5, 0.5], z_basis(1), [bad, bad])
+
+
+class TestQutritBetweenQubits:
+    """Party 2 of (2, 3, 2): the measured index has parties on both sides."""
+
+    def test_measurement_matches_lifted_projectors(self):
+        rho = random_density((2, 3, 2), seed=9)
+        basis = ProjectiveBasis(2, haar_unitary(3, np.random.default_rng(9)).T)
+        expected = np.zeros_like(rho.matrix)
+        for ket in basis.kets:
+            proj = kron_all([np.eye(2), np.outer(ket, ket.conj()), np.eye(2)])
+            expected += proj @ rho.matrix @ proj
+        out = apply_projective_measurement(rho, basis)
+        assert_allclose(out.matrix, expected, rtol=0, atol=1e-14)
+
+    def test_classical_quantum_state_matches_permuted_kron(self):
+        rng = np.random.default_rng(10)
+        basis = ProjectiveBasis(2, haar_unitary(3, rng).T)
+        probs = rng.dirichlet(np.ones(3))
+        conds = [random_density((2, 2), seed=70 + l) for l in range(3)]
+        chi = classical_quantum_state(probs, basis, conds)
+        # party-first build, ordered (2, 1, 3), then sorted back
+        first = sum(
+            p * np.kron(np.outer(ket, ket.conj()), cond.matrix)
+            for p, ket, cond in zip(probs, basis.kets, conds)
+        )
+        expected = permute_parties(DensityMatrix(first, (3, 2, 2)), (2, 1, 3))
+        assert chi.party_dims == (2, 3, 2)
+        assert_allclose(chi.matrix, expected.matrix, rtol=0, atol=1e-14)
 
 
 def test_random_basis_classical_quantum_states_are_fixed_points():

@@ -146,6 +146,12 @@ class TestCrossCheck:
         report = cross_check_discord(rho, 3, COARSE)
         assert report.gap < 1e-4
 
+    @pytest.mark.parametrize("dims, part", [((3, 2, 2), 2), ((2, 3, 2), 3)])
+    def test_qubit_between_parties_with_a_qutrit(self, dims, part):
+        # parties on both sides of the measured one, one of them a qutrit
+        rho = random_density(dims, seed=4)
+        assert cross_check_discord(rho, part, COARSE).gap < 1e-5
+
     def test_pure_product_state(self):
         import numpy as np
 
