@@ -81,10 +81,9 @@ def load_state(path) -> DensityMatrix:
         )
     try:
         rows = payload["matrix"]
-        matrix = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows]
-        )
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        # unpacking rejects any entry that is not exactly a [re, im] pair
+        matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed dims or matrix ({exc})") from exc
     return DensityMatrix(matrix, dims)
 

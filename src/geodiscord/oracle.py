@@ -2,8 +2,8 @@
 
 Everything here works on the raw density matrix with explicitly built
 measurements, deliberately sharing nothing with the Bloch/closed-form code
-path beyond the core matrix type, so agreement between the two routes is a
-meaningful check rather than a tautology.
+path beyond the core matrix type and the axis-sign rule, so agreement
+between the two routes is a meaningful check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import DensityMatrix, Sym3
+from .tensor_ops import DensityMatrix, Sym3, _positive_first
 
 __all__ = [
     "GridSpec",
@@ -43,8 +43,10 @@ class GridSpec:
     """Angle grid for the sphere search.
 
     The initial grid is uniform in cos(theta) on [-1, 1] and in phi on
-    [0, 2 pi); each refinement round re-grids a window around the best point
-    shrunk by ``zoom_factor``.
+    [0, 2 pi), and only its cos(theta) >= 0 rows are scored: with an odd
+    ``phi_steps`` they are not the antipodes of the others, and values agree
+    with the full grid only within its resolution.  Each refinement round
+    re-grids a window around the best point shrunk by ``zoom_factor``.
     """
 
     theta_steps: int = 181
@@ -116,21 +118,22 @@ def _tangent_frame(axis):
     return t1, np.cross(axis, t1)
 
 
-def _grid_search(evaluate_axes, grid, minimize=True):
-    """Full sphere grid, then tangent-plane re-gridding around the best axis.
+def _grid_search(evaluate_axes, grid):
+    """Half-sphere grid, then tangent-plane re-gridding around the best axis.
 
-    The coarse grid is uniform in cos(theta) and phi; refining in the local
-    tangent plane (rather than in the angles) keeps the window isotropic
-    even at the poles, where the phi coordinate degenerates.  Returns
-    (value, theta, phi, tuple of per-round best values).
+    Only the coarse cos(theta) >= 0 rows are scored (see ``GridSpec``), as
+    n and -n are one measurement.  Refining in the tangent plane keeps the
+    window isotropic even at the poles, where phi degenerates.  Returns the
+    minimum, the angles of the best axis under the sign rule of
+    ``sym3_top_eigen``, and the tuple of per-round best values.
     """
-    sign = 1.0 if minimize else -1.0
-    thetas = np.arccos(np.linspace(-1.0, 1.0, grid.theta_steps))
+    cos_thetas = np.linspace(-1.0, 1.0, grid.theta_steps)
+    thetas = np.arccos(cos_thetas[cos_thetas >= 0.0])
     phis = np.linspace(0.0, 2.0 * math.pi, grid.phi_steps, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     axes = _axes_from_angles(tt.ravel(), pp.ravel())
     values = evaluate_axes(axes)
-    idx = int(np.argmin(sign * values))
+    idx = int(np.argmin(values))
     value = float(values[idx])
     best_axis = axes[idx]
     # worst-case angular cell diameter: theta cells widen to ~sqrt(2 dcos)
@@ -150,12 +153,13 @@ def _grid_search(evaluate_axes, grid, minimize=True):
         )
         cand /= np.linalg.norm(cand, axis=1)[:, None]
         values = evaluate_axes(cand)
-        idx = int(np.argmin(sign * values))
-        if sign * values[idx] < sign * value:
+        idx = int(np.argmin(values))
+        if values[idx] < value:
             value = float(values[idx])
             best_axis = cand[idx]
         history.append(value)
         width /= grid.zoom_factor
+    best_axis = _positive_first(best_axis)
     theta = math.acos(float(np.clip(best_axis[2], -1.0, 1.0)))
     phi = math.atan2(float(best_axis[1]), float(best_axis[0])) % (2.0 * math.pi)
     return value, theta, phi, tuple(history)
@@ -187,9 +191,9 @@ def brute_force_quadratic_max(g, grid: GridSpec | None = None) -> float:
     m = g.as_matrix() if isinstance(g, Sym3) else np.asarray(g, dtype=float)
 
     def evaluate(axes):
-        return np.einsum("ni,ij,nj->n", axes, m, axes)
+        return -np.einsum("ni,ij,nj->n", axes, m, axes)
 
-    return _grid_search(evaluate, grid, minimize=False)[0]
+    return -_grid_search(evaluate, grid)[0]
 
 
 def cross_check_discord(

@@ -139,6 +139,8 @@ def random_density(party_dims, rank=None, seed: int = 0) -> DensityMatrix:
     """
     dims = tuple(int(d) for d in party_dims)
     side = math.prod(dims)
+    if side > MAX_DIMENSION:
+        raise ValueError(f"total dimension {side} exceeds the cap of {MAX_DIMENSION}")
     if rank is None:
         rank = side
     if not 1 <= rank <= side:

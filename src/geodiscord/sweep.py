@@ -29,8 +29,8 @@ def sweep_family(family: str, p_from: float, p_to: float, steps: int, parts=None
     """Rows of (p, D_k..., Q) on a uniform inclusive grid of the parameter."""
     if not 2 <= steps <= _MAX_STEPS:
         raise ValueError(f"a sweep needs 2 to {_MAX_STEPS} steps, got {steps}")
-    probe = family_state(FamilySpec(family, min(max(p_from, 0.0), 1.0)))
-    n = probe.n_parties
+    n = family_state(FamilySpec(family, p_from)).n_parties
+    FamilySpec(family, p_to)  # both ends are checked before linspace
     if parts is None:
         parts = tuple(range(1, n + 1))
     parts = tuple(int(k) for k in parts)

@@ -10,7 +10,6 @@ Conventions fixed here and inherited package-wide:
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,12 +237,15 @@ def sym3_top_eigen(g, *, prefer_axes=(0, 1, 2)) -> tuple[float, np.ndarray]:
             break
     if vec is None:  # pragma: no cover - top eigenspace is never empty
         vec = cols[:, 0]
+    return eta, _positive_first(vec)
+
+
+def _positive_first(vec) -> np.ndarray:
+    """Flip ``vec`` so its first component above 1e-12 in magnitude is positive."""
     for comp in vec:
         if abs(comp) > 1e-12:
-            if comp < 0:
-                vec = -vec
-            break
-    return eta, vec
+            return -vec if comp < 0 else vec
+    return vec
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -255,14 +257,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep must name at least one party")
     if kept[0] < 1 or kept[-1] > n:
         raise ValueError(f"keep={kept} outside parties 1..{n}")
-    row = list(string.ascii_lowercase[:n])
-    col = list(string.ascii_lowercase[n : 2 * n])
-    for m in range(n):
-        if (m + 1) not in kept:
-            col[m] = row[m]
-    out_labels = [row[k - 1] for k in kept] + [col[k - 1] for k in kept]
-    spec = "".join(row + col) + "->" + "".join(out_labels)
-    reduced = np.einsum(spec, rho.matrix.reshape(dims + dims))
+    # row index m of party m + 1 is summed against its column unless kept
+    col = [n + m if m + 1 in kept else m for m in range(n)]
+    out = [k - 1 for k in kept] + [col[k - 1] for k in kept]
+    reduced = np.einsum(rho.matrix.reshape(dims + dims), [*range(n), *col], out)
     kept_dims = tuple(dims[k - 1] for k in kept)
     side = math.prod(kept_dims)
     return DensityMatrix(reduced.reshape(side, side), kept_dims)

@@ -251,6 +251,18 @@ class TestExitCodes:
         code, _, _ = run(capsys, "discord", "--state", str(path), "--part", "1")
         assert code == 3
 
+    def test_matrix_entry_that_is_not_a_pair_is_parse_error(self, tmp_path, capsys):
+        state = tmp_path / "bell.json"
+        run(capsys, "gen", "--name", "bell", "--out", str(state))
+        payload = json.loads(state.read_text(encoding="utf-8"))
+        for entry in ([0.5, 0, 7], [0.5], 0.5):
+            payload["matrix"][0][0] = entry
+            state.write_text(json.dumps(payload), encoding="utf-8")
+            code, out, err = run(capsys, "discord", "--state", str(state), "--part", "1")
+            assert code == 3, entry
+            assert out == ""
+            assert "Traceback" not in err
+
     def test_deeply_nested_state_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         depth = 100_000

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,14 @@ class TestSweep:
     def test_too_few_steps(self):
         with pytest.raises(ValueError, match="steps"):
             sweep_family("ghz-noise", 0.0, 1.0, 1)
+
+    def test_both_ends_are_checked_before_the_grid(self):
+        # linspace to inf warns, and p = 1.5 came only after two built rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p_to in (float("inf"), 1.5):
+                with pytest.raises(ValueError, match="must lie in"):
+                    sweep_family("w-ghz", 0.0, p_to, 3)
 
     def test_selected_parts(self):
         rows = sweep_family("ghz-noise", 0.0, 1.0, 3, parts=(2,))

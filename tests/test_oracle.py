@@ -41,6 +41,18 @@ class TestGridSpec:
             GridSpec(zoom_factor=1.0)
 
 
+@pytest.mark.parametrize(
+    "grid, coarse", [(GridSpec(), 32_760), (GridSpec(37, 72, 2), 1_368)]
+)
+def test_coarse_grid_scores_each_measurement_once(grid, coarse):
+    # only the cos(theta) >= 0 rows: n and -n are one measurement
+    from geodiscord.oracle import _grid_search
+
+    sizes = []
+    _grid_search(lambda axes: sizes.append(len(axes)) or np.zeros(len(axes)), grid)
+    assert sizes[0] == coarse
+
+
 class TestQuadraticMax:
     def test_diagonal(self):
         assert abs(brute_force_quadratic_max(np.diag([2.0, 2.0, 3.0]), COARSE) - 3.0) < 1e-6
@@ -122,6 +134,23 @@ class TestBruteForceDiscord:
         ) / 2.0**3
         kept_direct = c.norm_sq() - report.value
         assert abs(state_terms + eta_grid / 2.0**3 - kept_direct) < 1e-5
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2, 2)])
+    def test_axis_is_the_representative_of_e_max(self, dims):
+        # n and -n are one measurement; the oracle reports the one whose
+        # first component is positive, as e_max does
+        for seed in range(3):
+            rho = random_density(dims, seed=seed)
+            c = coefficient_tensor(rho)
+            for part in (k for k in range(1, len(dims) + 1) if dims[k - 1] == 2):
+                result = brute_force_discord(rho, part, COARSE)
+                theta, phi = result.theta, result.phi
+                axis = np.array(
+                    [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+                )
+                assert axis[0] > 1e-12
+                e_max = discord_closed_form(c, part).e_max
+                assert np.abs(axis - e_max).max() < 1e-2
 
     def test_rejects_non_qubit_party(self):
         with pytest.raises(ValueError, match="qubit"):

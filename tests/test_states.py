@@ -127,6 +127,11 @@ class TestRandomDensity:
         with pytest.raises(ValueError, match="rank"):
             random_density((2, 2), rank=0)
 
+    def test_dimension_cap_is_checked_before_drawing(self):
+        # 13 qubits would draw two 8192 x 8192 complex arrays first
+        with pytest.raises(ValueError, match="4096"):
+            random_density((2,) * 13)
+
     def test_full_rank_mean_purity_matches_ensemble_average(self):
         # E[tr rho^2] for the D x D Gaussian-induced ensemble is 2D/(D^2+1)
         dim = 4
